@@ -113,8 +113,8 @@ class FaultScenario {
 
   /// Draws the fault set of trial `trial_index` from `rng`.  |F| <= f,
   /// model matches params.model, ids are distinct and in range.  The
-  /// adaptive kind runs check_fault_set internally — draws are O(m·Dijkstra
-  /// · restarts) there, O(universe) elsewhere.
+  /// adaptive kind runs check_fault_set internally — 1 + 3 * restarts calls
+  /// per draw — while the other kinds draw in O(universe).
   [[nodiscard]] FaultSet draw(std::uint32_t trial_index, Rng& rng);
 
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }

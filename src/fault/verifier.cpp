@@ -1,7 +1,9 @@
 #include "fault/verifier.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <numeric>
 
 #include "exec/thread_pool.h"
 #include "fault/attack.h"
@@ -19,12 +21,30 @@ constexpr double kTolerance = 1e-9;
 const obs::Counter c_verify_trials("verify.trials");
 
 /// Shared machinery: evaluates one fault set against all surviving G-edges,
-/// folding results into `report`.
+/// source by source (the check_fault_set contract in verifier.h), folding
+/// results into `report`.  The report equals that of one budget-pruned
+/// search pair per edge in edge-id order: settled distances do not depend on
+/// the search that settles them, d_H beyond t * d_G is clamped exactly where
+/// a per-pair budget pruned it, and max-stretch ties go to the smallest id.
 class PairChecker {
  public:
   PairChecker(const Graph& g, const Graph& h, const SpannerParams& params)
-      : g_(g), h_(h), t_(params.stretch()), model_(params.model) {
+      : g_(g),
+        h_(h),
+        t_(params.stretch()),
+        model_(params.model),
+        unweighted_(!g.weighted() && !h.weighted()),
+        owned_begin_(g.n() + 1, 0),
+        owned_(g.m()) {
     FTSPAN_REQUIRE(h.n() == g.n(), "spanner must share G's vertex set");
+    // Counting sort of edge ids by owner: placing ids in descending order at
+    // the end of their owner's row leaves each row ascending and
+    // owned_begin_[u] at the row's start.
+    for (const auto& e : g.edges()) ++owned_begin_[e.u];
+    std::partial_sum(owned_begin_.begin(), owned_begin_.end(),
+                     owned_begin_.begin());
+    for (EdgeId id = static_cast<EdgeId>(g.m()); id-- > 0;)
+      owned_[--owned_begin_[g.edge(id).u]] = id;
   }
 
   void check(const FaultSet& faults, StretchReport& report) {
@@ -57,43 +77,100 @@ class PairChecker {
     const FaultView g_view{g_vertex_mask_.bytes(), g_edge_mask_.bytes()};
     const FaultView h_view{g_vertex_mask_.bytes(), h_edge_mask_.bytes()};
 
-    for (EdgeId id = 0; id < g_.m(); ++id) {
-      if (model_ == FaultModel::edge && g_edge_mask_.test(id)) continue;
-      const auto& e = g_.edge(id);
-      if (model_ == FaultModel::vertex &&
-          (g_vertex_mask_.test(e.u) || g_vertex_mask_.test(e.v)))
-        continue;
-      ++report.pairs_checked;
-
-      // d_{G\F}(u,v) <= w(u,v) because the edge survives.
-      const Weight d_g = dijkstra_.distance(g_, e.u, e.v, g_view, e.w);
-      FTSPAN_ASSERT(d_g <= e.w + kTolerance, "edge survives, so d_G <= w");
-      const Weight budget = static_cast<Weight>(t_) * d_g;
-      const Weight d_h = dijkstra_.distance(h_, e.u, e.v, h_view, budget);
-
-      const double stretch =
-          d_h == kUnreachableWeight
-              ? std::numeric_limits<double>::infinity()
-              : (d_g == 0.0 ? 1.0 : static_cast<double>(d_h / d_g));
-      if (stretch > report.max_stretch) {
-        report.max_stretch = stretch;
-        report.worst = StretchWitness{faults, e.u, e.v, d_g, d_h};
+    // This call's worst pair: max stretch, smallest edge id on ties.  Every
+    // stretch is >= 0, so the first pair checked always replaces the -1.
+    EdgeId worst_id = kInvalidEdge;
+    double worst_stretch = -1.0;
+    Weight worst_d_g = 0.0;
+    Weight worst_d_h = 0.0;
+    for (VertexId u = 0; u < g_.n(); ++u) {
+      if (model_ == FaultModel::vertex && g_vertex_mask_.test(u)) continue;
+      ids_.clear();
+      targets_.clear();
+      for (EdgeId i = owned_begin_[u]; i < owned_begin_[u + 1]; ++i) {
+        const EdgeId id = owned_[i];
+        const auto& e = g_.edge(id);
+        if (model_ == FaultModel::edge ? g_edge_mask_.test(id)
+                                       : g_vertex_mask_.test(e.v))
+          continue;
+        ids_.push_back(id);
+        targets_.push_back(e.v);
       }
-      if (d_h == kUnreachableWeight ||
-          d_h > budget + kTolerance * std::max(1.0, budget))
-        report.ok = false;
+      if (ids_.empty()) continue;
+      report.pairs_checked += ids_.size();
+      search_from(u, g_view, h_view);
+
+      for (std::size_t i = 0; i < ids_.size(); ++i) {
+        const Weight d_g = d_g_[i];
+        FTSPAN_ASSERT(d_g <= g_.edge(ids_[i]).w + kTolerance,
+                      "edge survives, so d_G <= w");
+        const Weight budget = static_cast<Weight>(t_) * d_g;
+        const Weight d_h = d_h_[i] > budget ? kUnreachableWeight : d_h_[i];
+        if (d_h == kUnreachableWeight) report.ok = false;
+        const double stretch =
+            d_h == kUnreachableWeight
+                ? std::numeric_limits<double>::infinity()
+                : (d_g == 0.0 ? 1.0 : static_cast<double>(d_h / d_g));
+        if (stretch > worst_stretch ||
+            (stretch == worst_stretch && ids_[i] < worst_id)) {
+          worst_id = ids_[i];
+          worst_stretch = stretch;
+          worst_d_g = d_g;
+          worst_d_h = d_h;
+        }
+      }
+    }
+    if (worst_stretch > report.max_stretch) {
+      const auto& e = g_.edge(worst_id);
+      report.max_stretch = worst_stretch;
+      report.worst = StretchWitness{faults, e.u, e.v, worst_d_g, worst_d_h};
     }
   }
 
  private:
+  /// Fills d_g_ and d_h_ (aligned with targets_) for source u: d_{G\F} and
+  /// d_{H\F} (kUnreachableWeight past the search budget).
+  void search_from(VertexId u, const FaultView& g_view,
+                   const FaultView& h_view) {
+    if (unweighted_) {
+      d_g_.assign(targets_.size(), 1.0);
+      d_h_.resize(targets_.size());
+      bfs_.tree_begin(h_, u, targets_, h_view, t_);
+      for (std::size_t i = 0; i < targets_.size(); ++i) {
+        const std::uint32_t hops = bfs_.tree_next(targets_[i]).dist;
+        d_h_[i] = hops == kUnreachableHops ? kUnreachableWeight
+                                           : static_cast<Weight>(hops);
+      }
+      return;
+    }
+    Weight max_w = 0.0;
+    for (const EdgeId id : ids_) max_w = std::max(max_w, g_.edge(id).w);
+    dijkstra_.distances(g_, u, targets_, d_g_, g_view, max_w);
+    const Weight max_d_g = *std::max_element(d_g_.begin(), d_g_.end());
+    dijkstra_.distances(h_, u, targets_, d_h_, h_view,
+                        static_cast<Weight>(t_) * max_d_g);
+  }
+
   const Graph& g_;
   const Graph& h_;
   std::uint32_t t_;
   FaultModel model_;
+  bool unweighted_;
+  /// G's edge ids grouped by owner e.u: owned_[owned_begin_[u] ..
+  /// owned_begin_[u + 1]) ascending.
+  std::vector<EdgeId> owned_begin_;
+  std::vector<EdgeId> owned_;
+  BfsRunner bfs_;
   DijkstraRunner dijkstra_;
   ScratchMask g_vertex_mask_;
   ScratchMask g_edge_mask_;
   ScratchMask h_edge_mask_;
+  // Per-source scratch, aligned: surviving owned edges, their far
+  // endpoints, and the two distances.
+  std::vector<EdgeId> ids_;
+  std::vector<VertexId> targets_;
+  std::vector<Weight> d_g_;
+  std::vector<Weight> d_h_;
 };
 
 /// Enumerates all subsets of {0..universe-1} of size exactly `size` and

@@ -5,6 +5,12 @@
 // suffices to check pairs {u,v} in E(G); we check every surviving G-edge
 // against t * d_{G\F}(u,v), which is equivalent.
 //
+// A fault set is checked source by source: each G-edge belongs to its stored
+// endpoint e.u, and one search from u answers all of u's surviving edges
+// (see check_fault_set).  The H-side search stops at t * d_{G\F}, so a pair
+// that violates the bound reads as d_{H\F} = infinity, i.e. infinite
+// stretch, whether or not H\F still connects it.
+//
 // Exhaustive verification enumerates all C(n, <= f) fault sets (feasible for
 // small instances; it is the ground truth in tests).  Sampled verification
 // draws fault sets from a mix of random and adversarial strategies (attack.h)
@@ -28,17 +34,21 @@ struct StretchWitness {
   VertexId u = kInvalidVertex;
   VertexId v = kInvalidVertex;
   Weight d_g = 0.0;  ///< d_{G\F}(u,v)
-  Weight d_h = 0.0;  ///< d_{H\F}(u,v); kUnreachableWeight if disconnected
+  /// d_{H\F}(u,v) when it is at most t * d_g; kUnreachableWeight otherwise,
+  /// i.e. for every violating pair, not only for pairs H\F disconnects.
+  Weight d_h = 0.0;
 };
 
 /// Verification outcome.
 struct StretchReport {
-  /// True iff no checked pair exceeded stretch t (within a 1e-9 tolerance).
+  /// True iff every checked pair has d_{H\F} <= t * d_{G\F}.
   bool ok = true;
-  /// Maximum observed d_{H\F}/d_{G\F} over all checked pairs (infinity when
-  /// some pair was disconnected in H\F but not in G\F).
+  /// Maximum observed d_{H\F}/d_{G\F} over all checked pairs.  Infinity
+  /// exactly when some pair violates the bound (see StretchWitness::d_h), so
+  /// a finite value is at most t and ok == !isinf(max_stretch).
   double max_stretch = 0.0;
-  /// The pair and fault set realizing max_stretch.
+  /// The pair and fault set realizing max_stretch: the first such pair in
+  /// fault-set order, then edge-id order.
   StretchWitness worst;
   std::uint64_t fault_sets_checked = 0;
   std::uint64_t pairs_checked = 0;
@@ -51,9 +61,9 @@ struct StretchReport {
 };
 
 /// Exhaustively verifies that `h` is an f-FT (2k-1)-spanner of `g`
-/// (all fault sets of size <= f).  O(C(n, f) * m * Dijkstra) — exponential
-/// in f; use on small instances (it is the ground truth in tests).
-/// Requires h.n() == g.n().
+/// (all fault sets of size <= f): C(n, <= f) check_fault_set calls
+/// (C(m, <= f) under edge faults) — exponential in f; use on small instances
+/// (it is the ground truth in tests).  Requires h.n() == g.n().
 [[nodiscard]] StretchReport verify_exhaustive(const Graph& g, const Graph& h,
                                               const SpannerParams& params);
 
@@ -74,8 +84,8 @@ struct StretchReport {
 /// over the shared worker pool (exec::shared_pool(), or exec.pool): fault
 /// sets are drawn from `rng` sequentially up front and per-trial reports are
 /// folded in trial order, so the report — including the worst witness — is
-/// bit-identical at any thread count.  O(trials * m * Dijkstra) work either
-/// way.
+/// bit-identical at any thread count.  trials + 1 check_fault_set calls of
+/// work either way.
 [[nodiscard]] StretchReport verify_sampled(const Graph& g, const Graph& h,
                                            const SpannerParams& params,
                                            std::uint32_t trials, Rng& rng,
@@ -87,17 +97,27 @@ struct StretchReport {
 /// — including the worst witness — is bit-identical at any `exec` thread
 /// count.  When `per_set` is not null it receives each set's individual
 /// report (aligned with `sets`), which is how the attack benches compute
-/// per-trial stretch percentiles.  O(|sets| * m * Dijkstra).
+/// per-trial stretch percentiles.  |sets| check_fault_set calls of work.
 [[nodiscard]] StretchReport verify_fault_sets(
     const Graph& g, const Graph& h, const SpannerParams& params,
     std::span<const FaultSet> sets, const ExecPolicy& exec = {},
     std::vector<StretchReport>* per_set = nullptr);
 
 /// Checks one specific fault set: max stretch over surviving G-edges
-/// (Lemma 3 reduction), each pair one budget-pruned Dijkstra in G\F and one
-/// in H\F — O(m * Dijkstra).  `faults.model` must match sizes of g/h
-/// (vertex ids < n, edge ids < m of g -- edge faults are mapped to h via
-/// endpoint lookup).
+/// (Lemma 3 reduction).  Each surviving edge belongs to its stored endpoint
+/// e.u, and one search per source answers all of that source's edges:
+///  * unweighted g and h: one BFS terminal-tree session in H\F limited to t
+///    hops (a surviving edge of a simple unweighted graph has d_{G\F} = 1,
+///    so G is not searched);
+///  * otherwise: one multi-target Dijkstra in G\F with budget max w over the
+///    source's edges, then one in H\F with budget t * max d_{G\F}, each
+///    stopping once its last target settles.
+/// A fault set thus costs at most one search per source on each searched
+/// side, each confined to the ball its source's pairs need.  A per-pair d_{H\F} beyond t * d_{G\F} is clamped to
+/// kUnreachableWeight and max-stretch ties go to the smallest edge id, so
+/// the report is the one a per-edge check in edge-id order produces.
+/// `faults.model` must match sizes of g/h (vertex ids < n, edge ids < m of
+/// g -- edge faults are mapped to h via endpoint lookup).
 [[nodiscard]] StretchReport check_fault_set(const Graph& g, const Graph& h,
                                             const SpannerParams& params,
                                             const FaultSet& faults);

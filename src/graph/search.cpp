@@ -694,11 +694,14 @@ void BfsRunner::all_hops(const Graph& g, VertexId s, std::vector<std::uint32_t>&
 DijkstraRunner::DijkstraRunner(std::size_t n) { ensure(n); }
 
 void DijkstraRunner::ensure(std::size_t n) {
-  if (n > node_.size()) node_.resize(slab_round_up(n));
+  if (n <= node_.size()) return;
+  node_.resize(slab_round_up(n));
+  tmark_.resize(node_.size(), 0);
 }
 
 std::size_t DijkstraRunner::arena_bytes() const noexcept {
   return node_.capacity() * sizeof(Node) +
+         tmark_.capacity() * sizeof(std::uint32_t) +
          heap_.capacity() * sizeof(std::pair<Weight, VertexId>);
 }
 
@@ -706,18 +709,34 @@ void DijkstraRunner::begin_epoch() {
   ++epoch_;
   if (epoch_ == 0) {
     for (auto& node : node_) node.stamp = 0;
+    for (auto& mark : tmark_) mark = 0;
     epoch_ = 1;
   }
 }
 
-Weight DijkstraRunner::run(const Graph& g, VertexId s, VertexId t,
-                           const FaultView& faults, Weight budget) {
-  FTSPAN_REQUIRE(s < g.n() && (t == kInvalidVertex || t < g.n()),
-                 "search endpoint out of range");
+Weight DijkstraRunner::settled_distance(VertexId v) const noexcept {
+  return (node_[v].stamp == epoch_ && node_[v].settled != 0)
+             ? node_[v].dist
+             : kUnreachableWeight;
+}
+
+void DijkstraRunner::run(const Graph& g, VertexId s,
+                         std::span<const VertexId> targets,
+                         const FaultView& faults, Weight budget) {
+  FTSPAN_REQUIRE(s < g.n(), "search endpoint out of range");
   ensure(g.n());
   begin_epoch();
-  if (!faults.vertex_alive(s)) return kUnreachableWeight;
-  if (t != kInvalidVertex && !faults.vertex_alive(t)) return kUnreachableWeight;
+  // A failed target never settles, so only live ones are waited for (each
+  // once); when no target is live there is nothing to search for.
+  std::size_t pending = 0;
+  for (const VertexId t : targets) {
+    FTSPAN_REQUIRE(t < g.n(), "search endpoint out of range");
+    if (faults.vertex_alive(t) && tmark_[t] != epoch_) {
+      tmark_[t] = epoch_;
+      ++pending;
+    }
+  }
+  if (!faults.vertex_alive(s) || (!targets.empty() && pending == 0)) return;
 
   // Min-heap over the reused member buffer: push_heap/pop_heap with the same
   // std::greater comparison std::priority_queue would use, so the pop order
@@ -737,7 +756,7 @@ Weight DijkstraRunner::run(const Graph& g, VertexId s, VertexId t,
       continue;
     node[u].settled = 1;
     if (du > budget) break;
-    if (u == t) return du;
+    if (tmark_[u] == epoch_ && --pending == 0) return;
     const auto arcs = g.neighbors(u);
     arcs_scanned_ += arcs.size();
     for (const auto& arc : arcs) {
@@ -751,20 +770,28 @@ Weight DijkstraRunner::run(const Graph& g, VertexId s, VertexId t,
       }
     }
   }
-  if (t == kInvalidVertex) return kUnreachableWeight;
-  return (node[t].stamp == epoch_ && node[t].settled != 0) ? node[t].dist
-                                                           : kUnreachableWeight;
 }
 
 Weight DijkstraRunner::distance(const Graph& g, VertexId s, VertexId t,
                                 const FaultView& faults, Weight budget) {
-  return run(g, s, t, faults, budget);
+  run(g, s, std::span(&t, 1), faults, budget);
+  return settled_distance(t);
+}
+
+void DijkstraRunner::distances(const Graph& g, VertexId s,
+                               std::span<const VertexId> targets,
+                               std::vector<Weight>& out,
+                               const FaultView& faults, Weight budget) {
+  run(g, s, targets, faults, budget);
+  out.resize(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i)
+    out[i] = settled_distance(targets[i]);
 }
 
 bool DijkstraRunner::shortest_path(const Graph& g, VertexId s, VertexId t,
                                    std::vector<VertexId>& out,
                                    const FaultView& faults, Weight budget) {
-  if (run(g, s, t, faults, budget) == kUnreachableWeight) return false;
+  if (distance(g, s, t, faults, budget) == kUnreachableWeight) return false;
   out.clear();
   for (VertexId v = t; v != kInvalidVertex; v = node_[v].parent) out.push_back(v);
   std::reverse(out.begin(), out.end());
@@ -775,7 +802,7 @@ bool DijkstraRunner::shortest_path(const Graph& g, VertexId s, VertexId t,
 bool DijkstraRunner::shortest_path_arcs(const Graph& g, VertexId s, VertexId t,
                                         std::vector<PathStep>& out,
                                         const FaultView& faults, Weight budget) {
-  if (run(g, s, t, faults, budget) == kUnreachableWeight) return false;
+  if (distance(g, s, t, faults, budget) == kUnreachableWeight) return false;
   out.clear();
   for (VertexId v = t; v != kInvalidVertex; v = node_[v].parent)
     out.push_back(PathStep{v, node_[v].parent_arc});
@@ -788,7 +815,7 @@ bool DijkstraRunner::shortest_path_arcs(const Graph& g, VertexId s, VertexId t,
 void DijkstraRunner::all_distances(const Graph& g, VertexId s,
                                    std::vector<Weight>& out,
                                    const FaultView& faults, Weight budget) {
-  run(g, s, kInvalidVertex, faults, budget);
+  run(g, s, {}, faults, budget);
   out.assign(g.n(), kUnreachableWeight);
   for (VertexId v = 0; v < g.n(); ++v)
     if (node_[v].stamp == epoch_ && node_[v].settled != 0 &&

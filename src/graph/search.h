@@ -377,6 +377,16 @@ class DijkstraRunner {
                   const FaultView& faults = {},
                   Weight budget = kUnreachableWeight);
 
+  /// distance() for every vertex of `targets` at once, written into `out`
+  /// (aligned with `targets`).  One search answers them all and stops as
+  /// soon as the last live target settles, so it costs what the farthest
+  /// target's own search would.  A settled distance does not depend on the
+  /// budget or on which targets stopped the search, so each answer is
+  /// bit-identical to distance(g, s, t, faults, budget) for that target.
+  void distances(const Graph& g, VertexId s, std::span<const VertexId> targets,
+                 std::vector<Weight>& out, const FaultView& faults = {},
+                 Weight budget = kUnreachableWeight);
+
   /// Extracts a least-weight s-t path into `out`; false when unreachable
   /// within `budget`.
   bool shortest_path(const Graph& g, VertexId s, VertexId t,
@@ -414,12 +424,18 @@ class DijkstraRunner {
     std::uint8_t settled = 0;
   };
 
-  Weight run(const Graph& g, VertexId s, VertexId t, const FaultView& faults,
-             Weight budget);
+  /// The one heap loop behind every query: settles vertices in distance
+  /// order from s, pruned beyond `budget`, until every live vertex of
+  /// `targets` has settled (an empty target set runs to exhaustion).
+  void run(const Graph& g, VertexId s, std::span<const VertexId> targets,
+           const FaultView& faults, Weight budget);
+  /// Distance of `v` if the last search settled it, else kUnreachableWeight.
+  [[nodiscard]] Weight settled_distance(VertexId v) const noexcept;
   void ensure(std::size_t n);
   void begin_epoch();
 
   std::vector<Node> node_;
+  std::vector<std::uint32_t> tmark_;  ///< epoch-stamped: pending target
   /// Reused min-heap buffer: std::push_heap/std::pop_heap over this vector
   /// is exactly what std::priority_queue does, minus the per-search
   /// construction/destruction of the container — identical pop order, zero

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/search.h"
 #include "util/rng.h"
@@ -220,6 +222,55 @@ TEST(Dijkstra, AllDistancesMatchesPairQueries) {
     else
       EXPECT_NEAR(dist[v], d, 1e-12);
   }
+}
+
+TEST(Dijkstra, MultiTargetDistancesMatchSingleTargetQueries) {
+  // distances() must answer each target bit-identically to distance() with
+  // the same budget: duplicates, the source itself, failed and unreachable
+  // targets included.  Integer weights make equal-distance ties common.
+  Rng rng(17);
+  const Graph base = gnp(60, 0.08, rng);
+  Graph g(base.n(), true);
+  for (const auto& e : base.edges())
+    g.add_edge(e.u, e.v, static_cast<Weight>(1 + rng.next_below(4)));
+  Mask failed(g.n());
+  failed.set(7);
+  failed.set(11);
+  const FaultView fv = make_fault_view(&failed, nullptr);
+  DijkstraRunner multi;
+  DijkstraRunner single;
+  std::vector<Weight> out;
+  for (VertexId s = 0; s < 12; ++s) {
+    std::vector<VertexId> targets{s, 7, 30};
+    for (int i = 0; i < 6; ++i)
+      targets.push_back(static_cast<VertexId>(rng.next_below(g.n())));
+    targets.push_back(targets.back());
+    for (const Weight budget : {kUnreachableWeight, 5.0, 2.0}) {
+      multi.distances(g, s, targets, out, fv, budget);
+      ASSERT_EQ(out.size(), targets.size());
+      for (std::size_t i = 0; i < targets.size(); ++i)
+        EXPECT_EQ(out[i], single.distance(g, s, targets[i], fv, budget))
+            << "s=" << s << " t=" << targets[i] << " budget=" << budget;
+    }
+  }
+}
+
+TEST(Dijkstra, MultiTargetSearchStopsAtLastTarget) {
+  const Graph g = path_graph(50);
+  DijkstraRunner dijkstra;
+  std::vector<Weight> out;
+  const std::vector<VertexId> near{2, 1, 3};
+  dijkstra.distances(g, 0, near, out);
+  EXPECT_EQ(out, (std::vector<Weight>{2.0, 1.0, 3.0}));
+  // Vertices 0..2 are expanded before 3 settles: one arc, then two each.
+  EXPECT_EQ(dijkstra.arcs_scanned(), 5u);
+  // No live target: nothing to search for.
+  Mask failed(50);
+  failed.set(2);
+  const std::vector<VertexId> dead{2};
+  dijkstra.distances(g, 0, dead, out, make_fault_view(&failed, nullptr));
+  EXPECT_EQ(out, std::vector<Weight>{kUnreachableWeight});
+  EXPECT_EQ(dijkstra.arcs_scanned(), 5u);
 }
 
 TEST(Dijkstra, SourceEqualsTargetIsZero) {
