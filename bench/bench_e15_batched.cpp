@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "core/batched_greedy.h"
-#include "core/modified_greedy.h"
 #include "fault/verifier.h"
 
 int main(int argc, char** argv) {
@@ -50,85 +49,5 @@ int main(int argc, char** argv) {
   std::cout << "\nparallel depth shrinks linearly with the batch size while "
                "the size ratio grows toward keeping all of G — quantifying "
                "the open problem's difficulty.\n";
-
-  // Contrast: batch size 1 is Algorithm 4, where the sequential engine's
-  // terminal batching and masked-tree repair cut the physical BFS count
-  // without giving up any size — same picks, same sweeps, less work.
-  std::cout << "\nsequential engine (batch size 1) BFS-sharing ablation:\n";
-  Table ablation({"terminal batching", "masked-tree repair", "m(H)", "sweeps",
-                  "tree-hits", "masked-hits", "repairs",
-                  "masked_repair_cost_ratio", "secs"});
-  for (const bool batch : {false, true}) {
-    for (const bool masked : {false, true}) {
-      if (masked && !batch) continue;  // masked repair rides on batching
-      ModifiedGreedyConfig config;
-      config.batch_terminals = batch;
-      config.masked_tree = masked;
-      const auto build = modified_greedy_spanner(g, params, config);
-      // Per-sweep price of a masked answer served by in-place repair vs one
-      // answered by a dedicated masked BFS, within the same build: the
-      // decision quantity for an adaptive masking heuristic.  > 1 means the
-      // Even-Shiloach repair waves cost more arcs than just re-running BFS
-      // (the Kronecker-hub pathology); "-" when either side has no samples.
-      const auto& s = build.stats;
-      std::string ratio = "-";
-      if (s.masked_reuse_hits > 0 && s.dedicated_masked_sweeps > 0 &&
-          s.dedicated_masked_arcs > 0) {
-        const double repair_per_sweep =
-            static_cast<double>(s.repair_cost_arcs) /
-            static_cast<double>(s.masked_reuse_hits);
-        const double dedicated_per_sweep =
-            static_cast<double>(s.dedicated_masked_arcs) /
-            static_cast<double>(s.dedicated_masked_sweeps);
-        ratio = Table::num(repair_per_sweep / dedicated_per_sweep, 2);
-      }
-      ablation.add_row(
-          {batch ? "on" : "off", masked ? "on" : "off",
-           Table::num(build.spanner.m()),
-           Table::num(static_cast<long long>(s.search_sweeps)),
-           Table::num(static_cast<long long>(s.tree_reuse_hits)),
-           Table::num(static_cast<long long>(s.masked_reuse_hits)),
-           Table::num(static_cast<long long>(s.masked_tree_repairs)), ratio,
-           Table::num(s.seconds, 3)});
-    }
-  }
-  ablation.print(std::cout);
-  std::cout << "\npicks, certificates, and sweep counts are bit-identical "
-               "across all three rows; only the physical BFS count drops.\n";
-
-  // Speculative-engine ablation: the pipelined double-buffered windows
-  // (overlap) and terminal-batch work stealing (steal) are the *other* way
-  // to parallelize the greedy — unlike the Section 6 batched greedy above,
-  // they cost zero size and keep committed sweeps bit-identical; only the
-  // speculation counters move.  (On a 1-core machine the rows oversubscribe
-  // and measure overhead, not speedup — the CI perf-multicore lane records
-  // the real numbers.)
-  const auto threads = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(2, cli.get_int("threads", 4)));
-  std::cout << "\nspeculative engine overlap x steal ablation (" << threads
-            << " threads):\n";
-  Table spec({"overlap", "steal", "m(H)", "sweeps", "spec-evals",
-              "wasted-sweeps", "ov-windows", "stolen-chunks", "secs"});
-  for (const bool overlap : {false, true}) {
-    for (const bool steal : {false, true}) {
-      ModifiedGreedyConfig config;
-      config.exec.threads = threads;
-      config.exec.overlap = overlap;
-      config.exec.steal = steal;
-      const auto build = modified_greedy_spanner(g, params, config);
-      spec.add_row(
-          {overlap ? "on" : "off", steal ? "on" : "off",
-           Table::num(build.spanner.m()),
-           Table::num(static_cast<long long>(build.stats.search_sweeps)),
-           Table::num(static_cast<long long>(build.stats.spec_evaluated)),
-           Table::num(static_cast<long long>(build.stats.spec_wasted_sweeps)),
-           Table::num(static_cast<long long>(build.stats.overlap_windows)),
-           Table::num(static_cast<long long>(build.stats.stolen_chunks)),
-           Table::num(build.stats.seconds, 3)});
-    }
-  }
-  spec.print(std::cout);
-  std::cout << "\nm(H) and sweeps are bit-identical across all four rows: the "
-               "pipeline changes scheduling, never decisions.\n";
   return 0;
 }

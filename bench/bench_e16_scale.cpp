@@ -9,20 +9,14 @@
 // arenas reach their high-water mark).  Graph generation is timed separately
 // (gen_seconds) so the build column is the spanner build alone.
 //
-// Engine defaults differ from E4, deliberately, because hub-heavy degree
-// distributions invert two E4 conclusions:
-//   * --masked defaults to 0: eager Even-Shiloach repair cascades through
-//     Kronecker hubs and loses 5x against the dedicated masked BFS it
-//     replaces (measured scale 14, f=1: 42.9s masked vs 7.9s unmasked).
-//   * --f defaults to 0 for the scale sweep: the alpha == 0 tree-graft path
-//     (LbcSolver::extend_batch_after_accept) keeps one shared tree alive
-//     across accepts, which is what makes the 2^20 configuration tractable
-//     single-threaded.  f >= 1 rows remain fully supported at the smaller
-//     scales (the nightly sweep runs one).
-// Both knobs are bit-identical by contract — they move time, never results.
+// --f defaults to 0 for the scale sweep: the alpha == 0 tree-graft path
+// (LbcSolver::extend_batch_after_accept) keeps one shared tree alive across
+// accepts, which is what makes the 2^20 configuration tractable on one
+// thread.  f >= 1 rows remain fully supported at the smaller scales (the
+// nightly sweep runs one).
 //
 // Writes BENCH_e16_scale.json; tools/check_perf_floor.py --e16 gates the CI
-// perf-multicore lane on the checked-in seconds + max_peak_rss_mb floors
+// perf lane on the checked-in seconds + max_peak_rss_mb floors
 // (bench/ci_perf_floor.json, "e16" entries).
 
 #include <algorithm>
@@ -39,7 +33,6 @@
 #include "bench_util.h"
 #include "core/modified_greedy.h"
 #include "core/result.h"
-#include "exec/thread_pool.h"
 #include "util/timer.h"
 
 // ------------------------------------------------------- allocation counter
@@ -91,8 +84,6 @@ struct RunResult {
   std::size_t edgefactor = 0;
   std::uint32_t f = 0;
   std::uint32_t k = 0;
-  std::uint32_t threads = 1;
-  std::uint32_t threads_used = 1;
   std::size_t spanner_m = 0;
   double seconds = 0.0;      // spanner build only
   double gen_seconds = 0.0;  // graph generation, separate by design
@@ -107,23 +98,15 @@ struct RunResult {
   std::uint64_t tree_extends = 0;
 };
 
-struct EngineKnobs {
-  bool batch = true;
-  bool masked = false;  // hub pathology: see the header comment
-};
-
 RunResult run_config(const std::string& family, std::size_t scale,
                      std::size_t edgefactor, std::uint32_t f, std::uint32_t k,
-                     std::uint32_t threads, std::uint64_t seed,
-                     const EngineKnobs& knobs) {
+                     std::uint64_t seed) {
   RunResult out;
   out.family = family;
   out.scale = scale;
   out.edgefactor = edgefactor;
   out.f = f;
   out.k = k;
-  out.threads = threads;
-  out.threads_used = std::min(threads, exec::resolve_threads(0));
 
   Rng rng(seed + scale);
   const auto [g, gen_seconds] = bench::timed_gen([&] {
@@ -135,14 +118,10 @@ RunResult run_config(const std::string& family, std::size_t scale,
   out.m = g.m();
   out.graph_bytes = g.memory_bytes();
 
-  ModifiedGreedyConfig config;
-  config.exec.threads = out.threads_used;
-  config.batch_terminals = knobs.batch;
-  config.masked_tree = knobs.masked;
   const AllocSnapshot before = alloc_now();
   const Timer timer;
   const SpannerBuild build =
-      modified_greedy_spanner(g, SpannerParams{.k = k, .f = f}, config);
+      modified_greedy_spanner(g, SpannerParams{.k = k, .f = f});
   out.seconds = timer.seconds();
   const AllocSnapshot after = alloc_now();
   out.alloc_calls = after.calls - before.calls;
@@ -176,6 +155,9 @@ std::vector<std::size_t> parse_scales(const std::string& arg) {
   return out;
 }
 
+/// One JSON row per scale.  "threads" is always 1 (builds run on the
+/// calling thread); it stays in the schema because the CI floor entries
+/// (bench/ci_perf_floor.json) are keyed on it.
 bool write_json(const std::string& path, const std::vector<RunResult>& results) {
   std::ofstream out(path);
   out << "[\n";
@@ -184,8 +166,7 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
     out << "  {\"family\": \"" << r.family << "\", \"scale\": " << r.scale
         << ", \"n\": " << r.n << ", \"m\": " << r.m
         << ", \"edgefactor\": " << r.edgefactor << ", \"f\": " << r.f
-        << ", \"k\": " << r.k << ", \"threads\": " << r.threads
-        << ", \"threads_used\": " << r.threads_used
+        << ", \"k\": " << r.k << ", \"threads\": 1"
         << ", \"spanner_m\": " << r.spanner_m << ", \"seconds\": " << r.seconds
         << ", \"gen_seconds\": " << r.gen_seconds
         << ", \"peak_rss_mb\": " << r.peak_rss_mb
@@ -217,10 +198,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_uint("edgefactor", 16));
   const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 0));
   const auto k = static_cast<std::uint32_t>(cli.get_uint("k", 2));
-  const auto threads = static_cast<std::uint32_t>(cli.get_uint("threads", 1));
-  EngineKnobs knobs;
-  knobs.batch = cli.get_int("batch", 1) != 0;
-  knobs.masked = cli.get_int("masked", 0) != 0;
   const auto json_path = cli.get("out", "BENCH_e16_scale.json");
   const bench::ObsFlags obs = bench::obs_flags(cli);
 
@@ -236,22 +213,20 @@ int main(int argc, char** argv) {
 
   std::vector<RunResult> results;
   for (const std::size_t scale : scales) {
-    results.push_back(
-        run_config(family, scale, edgefactor, f, k, threads, seed, knobs));
+    results.push_back(run_config(family, scale, edgefactor, f, k, seed));
     const auto& r = results.back();
     std::cout << family << " scale=" << scale << " done: n=" << r.n
               << " m=" << r.m << " build=" << r.seconds << "s (gen "
               << r.gen_seconds << "s), peak RSS " << r.peak_rss_mb << " MiB\n";
   }
 
-  Table table({"family", "scale", "n", "m(G)", "f", "k", "thr", "m(H)",
+  Table table({"family", "scale", "n", "m(G)", "f", "k", "m(H)",
                "build-s", "gen-s", "rss-MiB", "arcs", "arena-MiB", "allocs",
                "sweeps", "grafts"});
   for (const auto& r : results)
     table.add_row({r.family, Table::num(r.scale), Table::num(r.n),
                    Table::num(r.m), Table::num(static_cast<long long>(r.f)),
                    Table::num(static_cast<long long>(r.k)),
-                   Table::num(static_cast<long long>(r.threads)),
                    Table::num(r.spanner_m), Table::num(r.seconds, 2),
                    Table::num(r.gen_seconds, 2), Table::num(r.peak_rss_mb, 1),
                    Table::num(static_cast<long long>(r.arcs_traversed)),

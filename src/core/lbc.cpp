@@ -10,30 +10,52 @@ namespace ftspan {
 namespace {
 
 const obs::Counter c_sweep_tree("sweep.tree_served");
-const obs::Counter c_sweep_masked("sweep.masked_repair_served");
 const obs::Counter c_sweep_dedicated("sweep.dedicated");
 const obs::Counter c_tree_sessions("tree.sessions");
 const obs::Counter c_tree_grafts("tree.grafts");
-const obs::Counter c_tree_repairs("tree.repairs");
-const obs::Counter c_tree_rollbacks("tree.rollbacks");
-const obs::Gauge g_repair_wave("repair.wave.max");
 const obs::Gauge g_graft_wave("graft.wave.max");
+
+/// Upper bound on one terminal batch (see lbc_scan).
+constexpr std::size_t kMaxTerminalBatch = 512;
 
 }  // namespace
 
-void LbcSolver::reserve(std::size_t n, std::size_t m) {
-  bfs_.reserve(n);
-  tree_bfs_.reserve(n);
-  vertex_cut_.ensure_universe(n);
-  edge_cut_.ensure_universe(m);
-  trace_mark_.ensure_universe(n);
+template <class Sweep>
+LbcResult LbcSolver::run_sweeps(const Graph& g, std::uint32_t alpha,
+                                Sweep&& sweep) {
+  vertex_cut_.ensure_universe(g.n());
+  edge_cut_.ensure_universe(g.m());
+  FaultView cut_view;
+  if (model_ == FaultModel::vertex)
+    cut_view.failed_vertices = vertex_cut_.bytes();
+  else
+    cut_view.failed_edges = edge_cut_.bytes();
+
+  const LbcSweeps outcome = lbc_sweeps(
+      model_, alpha, path_,
+      [&](std::uint32_t i, std::vector<PathStep>& path) {
+        return sweep(i, i == 0 ? FaultView{} : cut_view, path);
+      },
+      [&](VertexId x) { vertex_cut_.set(x); },
+      [&](EdgeId e) { edge_cut_.set(e); });
+  total_sweeps_ += outcome.sweeps;
+
+  LbcResult result;
+  result.yes = outcome.yes;
+  result.sweeps = outcome.sweeps;
+  result.cut.model = model_;
+  const auto& touched = model_ == FaultModel::vertex ? vertex_cut_.touched()
+                                                     : edge_cut_.touched();
+  result.cut.ids.assign(touched.begin(), touched.end());
+  vertex_cut_.reset_touched();
+  edge_cut_.reset_touched();
+  return result;
 }
 
 LbcResult LbcSolver::decide(const Graph& g, VertexId u, VertexId v,
-                            std::uint32_t t, std::uint32_t alpha,
-                            LbcTrace* trace) {
+                            std::uint32_t t, std::uint32_t alpha) {
   batch_g_ = nullptr;  // a direct decision ends any open batch
-  return run_decision(g, u, v, t, alpha, trace, /*sweep0_from_tree=*/false);
+  return run_decision(g, u, v, t, alpha, /*sweep0_from_tree=*/false);
 }
 
 LbcResult LbcSolver::decide_weighted(const Graph& g, VertexId u, VertexId v,
@@ -42,49 +64,15 @@ LbcResult LbcSolver::decide_weighted(const Graph& g, VertexId u, VertexId v,
   FTSPAN_REQUIRE(u < g.n() && v < g.n(), "LBC terminal out of range");
   FTSPAN_REQUIRE(u != v, "LBC terminals must be distinct");
   FTSPAN_REQUIRE(budget > 0, "weighted LBC requires a positive budget");
-
-  vertex_cut_.ensure_universe(g.n());
-  edge_cut_.ensure_universe(g.m());
-
-  LbcResult result;
-  result.cut.model = model_;
-
-  FaultView cut_view;
-  if (model_ == FaultModel::vertex)
-    cut_view.failed_vertices = vertex_cut_.bytes();
-  else
-    cut_view.failed_edges = edge_cut_.bytes();
-
-  for (std::uint32_t i = 0; i <= alpha; ++i) {
-    ++result.sweeps;
-    ++total_sweeps_;
-    const obs::ScopedSpan span("sweep", "weighted", "target", v, "sweep", i);
-    c_sweep_dedicated.add();
-    // Sweep 0 runs before anything is cut: the empty view keeps the runner
-    // on its no-mask path, mirroring the hop engine's dispatch.
-    const FaultView faults = i == 0 ? FaultView{} : cut_view;
-    const bool found =
-        dijkstra_.shortest_path_arcs(g, u, v, path_, faults, budget);
-    if (!found) {
-      result.yes = true;
-      break;
-    }
-    if (model_ == FaultModel::vertex) {
-      // Interior vertices only; u and v may never be cut.
-      for (std::size_t j = 1; j + 1 < path_.size(); ++j)
-        vertex_cut_.set(path_[j].to);
-    } else {
-      for (std::size_t j = 1; j < path_.size(); ++j)
-        edge_cut_.set(path_[j].edge);
-    }
-  }
-
-  const auto& touched = model_ == FaultModel::vertex ? vertex_cut_.touched()
-                                                     : edge_cut_.touched();
-  result.cut.ids.assign(touched.begin(), touched.end());
-  vertex_cut_.reset_touched();
-  edge_cut_.reset_touched();
-  return result;
+  return run_sweeps(g, alpha,
+                    [&](std::uint32_t i, const FaultView& cut,
+                        std::vector<PathStep>& path) {
+                      const obs::ScopedSpan span("sweep", "weighted", "target",
+                                                 v, "sweep", i);
+                      c_sweep_dedicated.add();
+                      return dijkstra_.shortest_path_arcs(g, u, v, path, cut,
+                                                          budget);
+                    });
 }
 
 void LbcSolver::begin_batch(const Graph& g, VertexId u,
@@ -105,14 +93,13 @@ void LbcSolver::begin_batch(const Graph& g, VertexId u,
   c_tree_sessions.add();
 }
 
-LbcResult LbcSolver::decide_batched(std::size_t index, std::uint32_t alpha,
-                                    LbcTrace* trace) {
+LbcResult LbcSolver::decide_batched(std::size_t index, std::uint32_t alpha) {
   FTSPAN_REQUIRE(batch_g_ != nullptr, "no open LBC batch");
   FTSPAN_REQUIRE(index < batch_targets_.size(), "LBC batch index out of range");
   FTSPAN_REQUIRE(batch_g_->m() == batch_m_,
                  "graph mutated during an LBC batch (re-begin_batch first)");
   return run_decision(*batch_g_, batch_u_, batch_targets_[index], batch_t_,
-                      alpha, trace, /*sweep0_from_tree=*/true);
+                      alpha, /*sweep0_from_tree=*/true);
 }
 
 void LbcSolver::extend_batch_after_accept(VertexId v, EdgeId via_edge) {
@@ -128,174 +115,99 @@ void LbcSolver::extend_batch_after_accept(VertexId v, EdgeId via_edge) {
   g_graft_wave.update(wave);
 }
 
-void LbcSolver::decide_batch(const Graph& g, VertexId u,
-                             std::span<const VertexId> targets, std::uint32_t t,
-                             std::uint32_t alpha, std::span<LbcResult> results,
-                             LbcTrace* traces) {
-  FTSPAN_REQUIRE(results.size() == targets.size(),
-                 "LBC batch results must be sized like targets");
-  begin_batch(g, u, targets, t);
-  for (std::size_t j = 0; j < targets.size(); ++j)
-    results[j] = decide_batched(j, alpha, traces ? &traces[j] : nullptr);
-}
-
 LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
                                   std::uint32_t t, std::uint32_t alpha,
-                                  LbcTrace* trace, bool sweep0_from_tree) {
+                                  bool sweep0_from_tree) {
   FTSPAN_REQUIRE(u < g.n() && v < g.n(), "LBC terminal out of range");
   FTSPAN_REQUIRE(u != v, "LBC terminals must be distinct");
   FTSPAN_REQUIRE(t >= 1, "LBC requires t >= 1");
-
-  vertex_cut_.ensure_universe(g.n());
-  edge_cut_.ensure_universe(g.m());
-  if (trace != nullptr) {
-    trace_mark_.ensure_universe(g.n());
-    trace->expanded.clear();
-  }
-
-  LbcResult result;
-  result.cut.model = model_;
-
-  FaultView cut_view;
-  if (model_ == FaultModel::vertex)
-    cut_view.failed_vertices = vertex_cut_.bytes();
-  else
-    cut_view.failed_edges = edge_cut_.bytes();
-
-  // Masked-tree mode: sweeps >= 1 read the shared terminal tree, repaired
-  // in place after each sweep's cut growth and rolled back at decision end.
-  const bool masked_tree = sweep0_from_tree && masked_tree_;
-  bool repaired = false;
-
-  for (std::uint32_t i = 0; i <= alpha; ++i) {
-    ++result.sweeps;
-    ++total_sweeps_;
-    bool found;
+  return run_sweeps(g, alpha, [&](std::uint32_t i, const FaultView& cut,
+                                  std::vector<PathStep>& path) {
     if (i == 0 && sweep0_from_tree) {
       // Sweep 0 of a batched decision: resume the shared terminal tree just
-      // far enough to settle v; the per-target expanded_prefix is the exact
-      // read set a dedicated search would have produced.
+      // far enough to settle v.
       const obs::ScopedSpan span("sweep", "tree_served", "target", v);
       ++batched_sweeps_;
       c_sweep_tree.add();
-      const BfsTreeAnswer answer = tree_bfs_.tree_next(v);
-      found = answer.dist <= t;
-      if (trace != nullptr)
-        for (const VertexId x :
-             tree_bfs_.last_visited().first(answer.expanded_prefix))
-          trace_mark_.set(x);
-      if (found) tree_bfs_.path_arcs_to(v, path_);
-    } else if (masked_tree && i > 0) {
-      // Masked sweep served from the repaired tree: distance, lex-min path,
-      // and read set are bit-identical to the dedicated BFS below.
-      const obs::ScopedSpan span("sweep", "masked_repair_served", "target", v,
-                                 "sweep", i);
-      ++masked_sweeps_;
-      c_sweep_masked.add();
-      const std::uint32_t dist = tree_bfs_.tree_masked_dist(v);
-      found = dist <= t;
-      if (trace != nullptr) mark_masked_trace(v, dist, t);
-      if (found) tree_bfs_.tree_masked_path_arcs(v, path_);
-    } else {
-      // Sweep 0 runs before anything is cut; handing the BFS an empty view
-      // lets it dispatch to the no-mask specialization (≈70% of all sweeps).
-      const obs::ScopedSpan span("sweep", "dedicated", "target", v, "sweep",
-                                 i);
-      c_sweep_dedicated.add();
-      const FaultView faults = i == 0 ? FaultView{} : cut_view;
-      const ArcIndex before = bfs_.arcs_scanned();
-      found = bfs_.shortest_path_arcs(g, u, v, path_, faults, t);
-      if (i > 0) {
-        // A dedicated run under a non-empty cut is exactly the sweep the
-        // masked-tree repair path would have served: meter its arc cost so
-        // the repair-vs-dedicated ratio can be formed across A/B runs.
-        ++dedicated_masked_sweeps_;
-        dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
-      }
-      if (trace != nullptr)
-        for (const VertexId x : bfs_.last_expanded()) trace_mark_.set(x);
+      if (tree_bfs_.tree_next(v) > t) return false;
+      tree_bfs_.path_arcs_to(v, path);
+      return true;
     }
-    if (!found) {
-      result.yes = true;
-      break;
+    const obs::ScopedSpan span("sweep", "dedicated", "target", v, "sweep", i);
+    c_sweep_dedicated.add();
+    const ArcIndex before = bfs_.arcs_scanned();
+    const bool found = bfs_.shortest_path_arcs(g, u, v, path, cut, t);
+    if (i > 0) {
+      ++dedicated_masked_sweeps_;
+      dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
     }
-    if (model_ == FaultModel::vertex) {
-      // Interior vertices only; u and v may never be cut.
-      const std::size_t before = vertex_cut_.touched().size();
-      for (std::size_t j = 1; j + 1 < path_.size(); ++j)
-        vertex_cut_.set(path_[j].to);
-      if (masked_tree && i < alpha) {  // the last sweep's cut is never read
-        obs::ScopedSpan span("repair", "cut", "sweep", i);
-        const std::size_t wave =
-            tree_bfs_.tree_repair_cut(vertex_cut_.touched().subspan(before),
-                                      std::span<const EdgeId>{}, cut_view);
-        span.end_args("wave", wave);
-        c_tree_repairs.add();
-        g_repair_wave.update(wave);
-        repaired = true;
-      }
-    } else {
-      // Every step after the source carries the edge it arrived over.
-      const std::size_t before = edge_cut_.touched().size();
-      for (std::size_t j = 1; j < path_.size(); ++j) edge_cut_.set(path_[j].edge);
-      if (masked_tree && i < alpha) {
-        obs::ScopedSpan span("repair", "cut", "sweep", i);
-        const std::size_t wave = tree_bfs_.tree_repair_cut(
-            std::span<const VertexId>{}, edge_cut_.touched().subspan(before),
-            cut_view);
-        span.end_args("wave", wave);
-        c_tree_repairs.add();
-        g_repair_wave.update(wave);
-        repaired = true;
-      }
-    }
-  }
-  if (repaired) {
-    obs::instant("repair", "rollback");
-    c_tree_rollbacks.add();
-    tree_bfs_.tree_rollback();
-  }
-
-  const auto& touched = model_ == FaultModel::vertex ? vertex_cut_.touched()
-                                                     : edge_cut_.touched();
-  result.cut.ids.assign(touched.begin(), touched.end());
-  vertex_cut_.reset_touched();
-  edge_cut_.reset_touched();
-  if (trace != nullptr) {
-    const auto marked = trace_mark_.touched();
-    trace->expanded.assign(marked.begin(), marked.end());
-    std::sort(trace->expanded.begin(), trace->expanded.end());
-    trace_mark_.reset_touched();
-  }
-  return result;
+    return found;
+  });
 }
 
-void LbcSolver::mark_masked_trace(VertexId v, std::uint32_t dist,
-                                  std::uint32_t t) {
-  // Reconstructs the dedicated BFS's exact expanded prefix from the repaired
-  // tree: everything strictly shallower than the target settles first, and
-  // within the target's own level the vertices popped before it are exactly
-  // those whose lex-min chain precedes the target's (discovery order).
-  // Unreachable targets expand the whole masked < t ball (the deepest level
-  // is frontier-pruned and never scanned).
-  const bool found = dist <= t;
-  const std::uint32_t below = found ? dist : t;
-  const bool level_part = found && dist < t;
-  for (const VertexId x : tree_bfs_.last_visited()) {
-    const std::uint32_t md = tree_bfs_.tree_masked_dist(x);
-    if (md < below) {
-      trace_mark_.set(x);
-    } else if (level_part && md == dist && x != v &&
-               tree_bfs_.tree_masked_before(x, v)) {
-      trace_mark_.set(x);
-    }
-  }
+void LbcSolver::write_stats(SpannerBuildStats& stats) const noexcept {
+  stats.search_sweeps = total_sweeps_;
+  stats.batched_sweeps = batched_sweeps_;
+  stats.tree_reuse_hits = tree_reuse_hits();
+  stats.tree_extends = tree_extends_;
+  stats.arcs_traversed = arcs_scanned();
+  stats.arena_bytes = arena_bytes();
+  stats.dedicated_masked_arcs = dedicated_masked_arcs_;
+  stats.dedicated_masked_sweeps = dedicated_masked_sweeps_;
 }
 
 LbcResult lbc_decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
                      std::uint32_t alpha, FaultModel model) {
   LbcSolver solver(model);
   return solver.decide(g, u, v, t, alpha);
+}
+
+void lbc_scan(const Graph& g, std::span<const EdgeId> order, const Graph& h,
+              LbcSolver& lbc, std::uint32_t t, std::uint32_t alpha,
+              const std::function<bool(LbcResult, EdgeId)>& commit) {
+  // With alpha == 0 an accept leaves the shared tree exhausted and the new
+  // edge graftable in place (extend_batch_after_accept), so runs never
+  // re-begin and the cap would only split trees for nothing: lift it.
+  const bool graft_accepts = alpha == 0;
+  const std::size_t cap = graft_accepts ? order.size() : kMaxTerminalBatch;
+  std::vector<VertexId> targets;
+  std::size_t i = 0;
+  while (i < order.size()) {
+    // Terminal batch: a maximal run of consecutive candidates out of the
+    // same vertex, capped.
+    const VertexId shared_u = g.edge(order[i]).u;
+    const std::size_t end = i + std::min(cap, order.size() - i);
+    std::size_t j = i + 1;
+    while (j < end && g.edge(order[j]).u == shared_u) ++j;
+    while (j - i > 1) {
+      // One shared tree serves the run until a decision accepts; accepting
+      // grows h, so the remaining targets re-begin against the new h —
+      // exactly the decision a per-edge scan would have made there.  With
+      // alpha == 0 the accepted edge is grafted into the tree instead
+      // (bit-identical decisions, since an alpha-0 decision consumes only
+      // the distance answer).
+      targets.clear();
+      for (std::size_t p = i; p < j; ++p) targets.push_back(g.edge(order[p]).v);
+      lbc.begin_batch(h, shared_u, targets, t);
+      const std::size_t base = i;
+      for (; i < j; ++i)
+        if (commit(lbc.decide_batched(i - base, alpha), order[i])) {
+          if (graft_accepts) {
+            if (i + 1 < j)  // nothing left to answer: skip the graft
+              lbc.extend_batch_after_accept(
+                  g.edge(order[i]).v, static_cast<EdgeId>(h.m() - 1));
+            continue;
+          }
+          ++i;
+          break;
+        }
+    }
+    if (j - i == 1) {  // singleton run or batch remainder: plain decision
+      const auto& e = g.edge(order[i]);
+      commit(lbc.decide(h, e.u, e.v, t, alpha), order[i]);
+      ++i;
+    }
+  }
 }
 
 }  // namespace ftspan

@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
+#include "core/result.h"
 #include "graph/fault_mask.h"
 #include "graph/search.h"
 #include "graph/types.h"
@@ -33,14 +35,38 @@ struct LbcResult {
   std::uint32_t sweeps = 0;
 };
 
-/// Read-set record of one decision, for speculative execution (src/exec/).
-struct LbcTrace {
-  /// Union over all sweeps of the vertices the BFS *expanded* (popped and
-  /// scanned), sorted ascending.  Appending an edge to g whose endpoints
-  /// both lie outside this set cannot change the decision: no sweep ever
-  /// reads the arc rows that grew, so a replay is bit-identical.
-  std::vector<VertexId> expanded;
+/// Answer and sweep count of one run of lbc_sweeps.
+struct LbcSweeps {
+  bool yes = false;
+  std::uint32_t sweeps = 0;
 };
+
+/// Algorithm 2's sweep loop, the one copy every LBC decision runs: at most
+/// alpha + 1 sweeps; a sweep that finds no path answers YES; every found
+/// path is cut before the next sweep — its interior vertices in the vertex
+/// model (u and v are never cut), every edge in the edge model.
+///
+/// The caller says how one sweep finds a path under its current cut:
+/// `find(i, path)` fills `path` with a (vertex, edge-id) u-v path for sweep
+/// i and returns false when none exists.  `cut_vertex(x)` / `cut_edge(e)`
+/// add one element to the caller's cut, which the next `find` must honor.
+/// Hop budgets (BFS), weight budgets (Dijkstra) and the shared terminal
+/// tree of a batched sweep 0 all plug in here.
+template <class FindPath, class CutVertex, class CutEdge>
+LbcSweeps lbc_sweeps(FaultModel model, std::uint32_t alpha,
+                     std::vector<PathStep>& path, FindPath&& find,
+                     CutVertex&& cut_vertex, CutEdge&& cut_edge) {
+  for (std::uint32_t i = 0; i <= alpha; ++i) {
+    if (!find(i, path)) return {true, i + 1};
+    if (model == FaultModel::vertex) {
+      for (std::size_t j = 1; j + 1 < path.size(); ++j) cut_vertex(path[j].to);
+    } else {
+      // Every step after the source carries the edge it arrived over.
+      for (std::size_t j = 1; j < path.size(); ++j) cut_edge(path[j].edge);
+    }
+  }
+  return {false, alpha + 1};
+}
 
 /// Reusable Algorithm 2 engine.  Holds scratch masks and a BFS workspace so
 /// the modified greedy can issue Theta(m) decisions without reallocation.
@@ -51,20 +77,10 @@ class LbcSolver {
 
   [[nodiscard]] FaultModel model() const noexcept { return model_; }
 
-  /// Enables masked-tree repair for batched decisions: sweeps >= 1 run
-  /// against the shared terminal tree, repaired in place as the decision's
-  /// cut grows (BfsRunner::tree_repair_cut) and rolled back at decision end,
-  /// instead of one dedicated masked BFS per sweep.  Decisions,
-  /// certificates, sweep counts, and traces are bit-identical either way
-  /// (tests/differential_test.cpp pins this against the dedicated oracle).
-  void set_masked_tree(bool on) noexcept { masked_tree_ = on; }
-  [[nodiscard]] bool masked_tree() const noexcept { return masked_tree_; }
-
   /// Decides LBC(t, alpha) for terminals u, v on g.
   /// Requires u != v, both in range, t >= 1.
-  /// When `trace` is non-null, also records the decision's read set into it.
   LbcResult decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
-                   std::uint32_t alpha, LbcTrace* trace = nullptr);
+                   std::uint32_t alpha);
 
   /// Algorithm 2 under a *weight* budget instead of a hop budget: sweeps are
   /// Dijkstra searches over the real edge weights, and "short" means total
@@ -89,13 +105,13 @@ class LbcSolver {
   // answers all of them: decision j only advances the shared expansion as
   // far as its own single-target search would have, and any later decision
   // whose target already settled gets its sweep 0 for free.  Sweeps >= 1
-  // accumulate a per-decision cut and run individually, unshared.
+  // accumulate a per-decision cut and run a dedicated masked BFS each.
   //
-  // Results, certificates, sweep counts, and (when requested) traces are
-  // bit-identical to calling decide() for each pair — enforced by
-  // tests/lbc_batch_test.cpp.  The caller must not mutate g between
-  // begin_batch and the last decide_batched; accepting an edge therefore
-  // ends the batch (both greedy engines re-begin on the remaining targets).
+  // Results, certificates, and sweep counts are bit-identical to calling
+  // decide() for each pair — enforced by tests/lbc_batch_test.cpp.  The
+  // caller must not mutate g between begin_batch and the last
+  // decide_batched; accepting an edge therefore ends the batch (lbc_scan
+  // re-begins on the remaining targets).
 
   /// Opens a batch of decisions (u, targets[j]) on g.  O(|targets|); the
   /// shared tree expands lazily inside decide_batched.
@@ -103,9 +119,8 @@ class LbcSolver {
                    std::span<const VertexId> targets, std::uint32_t t);
 
   /// Decides LBC(t, alpha) for (u, targets[index]) of the open batch.
-  /// Bit-identical to decide(g, u, targets[index], t, alpha, trace).
-  LbcResult decide_batched(std::size_t index, std::uint32_t alpha,
-                           LbcTrace* trace = nullptr);
+  /// Bit-identical to decide(g, u, targets[index], t, alpha).
+  LbcResult decide_batched(std::size_t index, std::uint32_t alpha);
 
   /// Continues the open batch across an accepted edge — alpha == 0 only.
   /// The caller has just appended edge (u, v) to the batch graph (v the
@@ -113,26 +128,10 @@ class LbcSolver {
   /// shared tree is grafted in place (BfsRunner::tree_insert_source_arc), so
   /// the remaining decide_batched calls skip the full re-expansion an accept
   /// used to cost.  Valid only for alpha == 0 decisions: the graft maintains
-  /// exact distances but not the lex-min paths/traces sweeps >= 1 and trace
-  /// consumers read.  Decisions stay bit-identical to re-beginning (pinned
-  /// by tests/lbc_batch_test.cpp and the f=0 differential suite).
+  /// exact distances but not the paths sweeps >= 1 read.  Decisions stay
+  /// bit-identical to re-beginning (pinned by tests/lbc_batch_test.cpp and
+  /// the f=0 differential suite).
   void extend_batch_after_accept(VertexId v, EdgeId via_edge);
-
-  /// Convenience wrapper: begin_batch + decide_batched for every target,
-  /// filling `results` (sized like targets) and, when non-null, `traces`
-  /// (ditto).  For one-shot callers that decide a whole batch against one
-  /// frozen H; the greedy engines use the stateful pair directly so they
-  /// can stop early on an accept (sequential) or write straight into their
-  /// window slots (speculative).
-  void decide_batch(const Graph& g, VertexId u,
-                    std::span<const VertexId> targets, std::uint32_t t,
-                    std::uint32_t alpha, std::span<LbcResult> results,
-                    LbcTrace* traces = nullptr);
-
-  /// Pre-sizes all scratch state for a graph with `n` vertices and up to `m`
-  /// edges, so subsequent decide() calls allocate nothing (per-thread arena
-  /// warm-up in src/exec/).
-  void reserve(std::size_t n, std::size_t m);
 
   /// Total BFS sweeps across all decisions (instrumentation).
   [[nodiscard]] std::uint64_t total_sweeps() const noexcept {
@@ -163,37 +162,8 @@ class LbcSolver {
     return tree_extends_;
   }
 
-  /// Masked sweeps served from the repaired shared tree — each one is a
-  /// dedicated masked BFS run eliminated (instrumentation; each still
-  /// counts 1 in total_sweeps()).
-  [[nodiscard]] std::uint64_t masked_reuse_hits() const noexcept {
-    return masked_sweeps_;
-  }
-
-  /// In-place tree repairs applied under growing cuts (instrumentation).
-  [[nodiscard]] std::uint64_t masked_tree_repairs() const noexcept {
-    return tree_bfs_.tree_repairs();
-  }
-
-  // --- repair-cost vs dedicated-cost meters (adaptive-masking baseline) ---
-  //
-  // The two ways to serve a masked sweep (>= 1) of a batched decision are
-  // in-place tree repair (masked_tree on) and a dedicated masked BFS
-  // (masked_tree off).  These meters price both in the same unit —
-  // adjacency rows scanned — so a run with each setting yields the
-  // per-sweep cost ratio the ROADMAP's adaptive masked/dedicated heuristic
-  // needs (bench_e15_batched's masked_repair_cost_ratio column).
-
-  /// Arcs scanned by the masked-tree repair machinery (Even-Shiloach waves
-  /// + lazy lex-min tournaments), cumulative.  The in-place price of the
-  /// masked_reuse_hits() sweeps; NOT included in arcs_scanned().
-  [[nodiscard]] ArcIndex repair_cost_arcs() const noexcept {
-    return tree_bfs_.repair_arcs();
-  }
-
-  /// Arcs scanned by dedicated masked BFS sweeps (i >= 1 decided without
-  /// the repaired tree), cumulative — the price masked sweeps pay when
-  /// masked_tree is off.  Subset of arcs_scanned().
+  /// Arcs scanned by the masked sweeps (>= 1) of hop decisions, cumulative.
+  /// Subset of arcs_scanned().
   [[nodiscard]] ArcIndex dedicated_masked_arcs() const noexcept {
     return dedicated_masked_arcs_;
   }
@@ -212,34 +182,40 @@ class LbcSolver {
   }
 
   /// Bytes held by this solver's search workspace: the runners' slab
-  /// arenas plus the cut/trace masks and the path buffer.  The per-worker
-  /// term behind SpannerBuildStats::arena_bytes.
+  /// arenas plus the cut masks and the path buffer — the source of
+  /// SpannerBuildStats::arena_bytes.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
     return bfs_.arena_bytes() + tree_bfs_.arena_bytes() +
            dijkstra_.arena_bytes() + vertex_cut_.bytes().size() +
-           edge_cut_.bytes().size() + trace_mark_.bytes().size() +
-           path_.capacity() * sizeof(PathStep);
+           edge_cut_.bytes().size() + path_.capacity() * sizeof(PathStep);
   }
+
+  /// Copies this solver's meters into a build's stats: search_sweeps,
+  /// batched_sweeps, tree_reuse_hits, tree_extends, arcs_traversed,
+  /// arena_bytes, and the dedicated masked-sweep pair.
+  void write_stats(SpannerBuildStats& stats) const noexcept;
 
  private:
   LbcResult run_decision(const Graph& g, VertexId u, VertexId v,
-                         std::uint32_t t, std::uint32_t alpha, LbcTrace* trace,
+                         std::uint32_t t, std::uint32_t alpha,
                          bool sweep0_from_tree);
-  void mark_masked_trace(VertexId v, std::uint32_t dist, std::uint32_t t);
+  /// Runs lbc_sweeps against this solver's cut masks.  `sweep(i, cut, path)`
+  /// searches under `cut`, which is empty for sweep 0 (nothing is cut yet,
+  /// so the runners take their no-mask specialization) and the accumulated
+  /// cut afterwards.
+  template <class Sweep>
+  LbcResult run_sweeps(const Graph& g, std::uint32_t alpha, Sweep&& sweep);
 
   FaultModel model_;
-  bool masked_tree_ = false;
   BfsRunner bfs_;
   BfsRunner tree_bfs_;  ///< holds the shared tree; bfs_ serves sweeps >= 1
   DijkstraRunner dijkstra_;  ///< serves decide_weighted sweeps only
   ScratchMask vertex_cut_;
   ScratchMask edge_cut_;
-  ScratchMask trace_mark_;  ///< dedups expanded vertices across sweeps
   std::vector<PathStep> path_;
   std::uint64_t total_sweeps_ = 0;
   std::uint64_t trees_built_ = 0;
   std::uint64_t batched_sweeps_ = 0;
-  std::uint64_t masked_sweeps_ = 0;
   std::uint64_t tree_extends_ = 0;
   std::uint64_t dedicated_masked_sweeps_ = 0;
   ArcIndex dedicated_masked_arcs_ = 0;
@@ -256,5 +232,23 @@ class LbcSolver {
 [[nodiscard]] LbcResult lbc_decide(const Graph& g, VertexId u, VertexId v,
                                    std::uint32_t t, std::uint32_t alpha,
                                    FaultModel model = FaultModel::vertex);
+
+/// The terminal-batched greedy scan, shared by the LBC-driven builders
+/// (modified_greedy_spanner and the BDPVW prefilter): decides LBC(t, alpha)
+/// for each edge of g in `order` against the growing spanner h, and hands
+/// every decision to `commit(decision, id)`, which returns true when it
+/// appended edge `id` to h (and must append nothing otherwise).
+///
+/// Consecutive candidates out of the same vertex form a terminal batch
+/// answered through one shared tree (LbcSolver::begin_batch), capped at
+/// 512 candidates so re-marking the remaining targets after an accept stays
+/// amortized O(1) per decision on huge-degree hubs.  An accept grows h, so
+/// the rest of the run re-begins against the new h — except at alpha == 0,
+/// where the accepted edge is grafted into the tree in place and the cap is
+/// lifted.  Every decision is bit-identical to LbcSolver::decide on the h of
+/// its scan position (tests/lbc_batch_test.cpp).
+void lbc_scan(const Graph& g, std::span<const EdgeId> order, const Graph& h,
+              LbcSolver& lbc, std::uint32_t t, std::uint32_t alpha,
+              const std::function<bool(LbcResult, EdgeId)>& commit);
 
 }  // namespace ftspan

@@ -29,31 +29,15 @@ struct ModifiedGreedyConfig {
   /// Record the LBC certificate F_e for every accepted edge (Lemma 6
   /// blocking-set analysis; costs memory, not time).
   bool record_certificates = false;
-  /// Batch consecutive scan edges that share their first endpoint through a
-  /// shared terminal tree (LbcSolver::decide_batch): one lazily-expanded BFS
-  /// from the shared endpoint answers every sweep 0 of the run, instead of
-  /// one dedicated BFS per edge.  Picks, certificates, and sweep counts are
-  /// bit-identical either way (stats.tree_reuse_hits counts the saved BFS
-  /// runs); the switch exists for A/B benchmarks and equivalence tests.
-  bool batch_terminals = true;
-  /// Serve the masked sweeps (>= 1) of batched decisions from the shared
-  /// terminal tree, repaired incrementally as each decision's cut grows
-  /// (BfsRunner::tree_repair_cut) instead of one dedicated masked BFS per
-  /// sweep.  Only takes effect inside terminal batches (batch_terminals).
-  /// Decisions, certificates, and sweep counts are bit-identical either way
-  /// (stats.masked_reuse_hits counts the eliminated BFS runs); the switch
-  /// exists for A/B benchmarks and the differential tests.
-  bool masked_tree = true;
-  /// Parallel execution policy.  threads > 1 (or 0 = auto) routes the scan
-  /// through the speculative-evaluate / sequential-commit engine in
-  /// src/exec/, which picks the bit-identical edge set at any thread count.
+  /// Execution policy.  The build runs on the calling thread: any
+  /// exec.threads other than 1 throws std::invalid_argument instead of
+  /// silently building sequentially.  The field remains so callers that pin
+  /// threads = 1 (the perfbench harness) keep compiling.
   ExecPolicy exec;
   /// Hop budget handed to every LBC(t, f) decision; 0 = the paper's
   /// t = 2k - 1 (params.stretch()).  Set by the (alpha, beta)-greedy front
   /// end (src/spanner/alpha_beta.h), whose unweighted test "exists a path of
-  /// <= floor(alpha + beta) hops" is Algorithm 2 under a different budget —
-  /// both engines (sequential and speculative) read the override, so the
-  /// generalized scan keeps the bit-identical-at-any-thread-count contract.
+  /// <= floor(alpha + beta) hops" is Algorithm 2 under a different budget.
   std::uint32_t hop_budget = 0;
 };
 

@@ -24,34 +24,19 @@ enum class EdgeOrder : std::uint8_t {
   random,          ///< Uniform shuffle (valid for unweighted inputs).
 };
 
-/// Execution policy for engines that can evaluate independent oracle calls
-/// in parallel (the modified greedy and verify_sampled; see src/exec/).
-/// Every setting yields bit-identical results — the speculative engine
-/// commits decisions in scan order and re-evaluates any decision an accepted
-/// edge could have changed, and the verifier folds per-trial reports in
-/// trial order.
+/// Execution policy for the verifier's parallel fan-out (verify_sampled,
+/// verify_fault_sets, verify_scenario; see src/exec/): fault sets are
+/// independent, so they are checked on pool workers and the per-set reports
+/// folded in set order — every setting yields a bit-identical report.
+/// Spanner builds run on the calling thread (ModifiedGreedyConfig::exec must
+/// keep threads = 1).
 struct ExecPolicy {
   /// Worker threads the engine may use (the calling thread counts as one).
-  /// 1 = plain sequential scan; 0 = one worker per hardware thread.
+  /// 1 = sequential; 0 = one worker per hardware thread.
   std::uint32_t threads = 1;
-  /// Fixed speculation window size; 0 = adaptive (recommended — grows on
-  /// full commits, shrinks on invalidation aborts).
-  std::uint32_t window = 0;
-  /// Pipeline the commit phase with the next window's evaluation: workers
-  /// evaluate window i+1 against the last-committed H snapshot while the
-  /// calling thread commits window i (double-buffered windows).  Results are
-  /// bit-identical either way — invalidation is still driven by the exact
-  /// per-decision read sets; the switch exists for A/B benchmarks and the
-  /// differential tests.
-  bool overlap = true;
-  /// Split dominant terminal batches into claimable chunks on the pool so a
-  /// long same-endpoint run no longer pins one worker while the rest idle
-  /// (work stealing via the pool's chunk cursor).  Bit-identical results;
-  /// only the physical tree-reuse counters change.  A/B switch.
-  bool steal = true;
   /// Pool the engine fans work over.  nullptr = the process-wide shared pool
   /// (exec::shared_pool()), grown on demand; engines never spawn a private
-  /// pool per build.  Set to run against a caller-owned exec::ThreadPool.
+  /// pool per call.  Set to run against a caller-owned exec::ThreadPool.
   exec::ThreadPool* pool = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <utility>
-
 #include "obs/obs.h"
 
 namespace ftspan::exec {
@@ -12,7 +10,7 @@ const obs::Counter c_pool_rounds("pool.rounds.dispatched");
 const obs::Counter c_pool_tasks("pool.tasks.executed");
 
 /// Pool this thread is currently executing a task of (nullptr outside task
-/// bodies) and its worker index in that round.  Lets run()/submit() detect
+/// bodies) and its worker index in that round.  Lets run() detect
 /// reentrant calls from a worker and execute inline — under the worker's
 /// real index, so index-keyed per-worker state (arenas) never aliases —
 /// instead of deadlocking on the round slot.
@@ -107,7 +105,7 @@ void ThreadPool::worker_loop(unsigned worker, std::uint64_t seen) {
       limit = job_limit_;
     }
     // Workers beyond the round's participant cap skip the job but still
-    // acknowledge the generation, so wait()/cancel() can wait on busy_ alone.
+    // acknowledge the generation, so run() can wait on busy_ alone.
     if (worker < limit) work(worker, *job, n);
     {
       std::lock_guard lk(mu_);
@@ -115,52 +113,6 @@ void ThreadPool::worker_loop(unsigned worker, std::uint64_t seen) {
     }
     done_cv_.notify_one();
   }
-}
-
-/// Drains a dispatched round: optionally helps as worker 0, waits for every
-/// pool worker to acknowledge, clears the job, and surfaces the first error.
-void ThreadPool::finish_round(bool help, const Task* fn, std::size_t n) {
-  if (help) work(0, *fn, n);
-  std::exception_ptr error;
-  {
-    std::unique_lock lk(mu_);
-    done_cv_.wait(lk, [&] { return busy_ == 0; });
-    job_ = nullptr;
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-ThreadPool::Round ThreadPool::submit(std::size_t n, const Task& fn,
-                                     std::uint32_t max_workers) {
-  if (n == 0) return {};
-  if (max_workers < 1) max_workers = 1;
-  // Reentrant submit from one of this pool's own tasks must not touch the
-  // round slot (it is held by the outer round); defer the body to wait().
-  if (tl_active_pool == this)
-    return Round(this, &fn, n, /*dispatched=*/false, {});
-  std::size_t spawned;
-  {
-    std::lock_guard lk(mu_);
-    spawned = workers_.size();
-  }
-  if (spawned == 0 || n == 1 || max_workers == 1)
-    return Round(this, &fn, n, /*dispatched=*/false, {});
-
-  std::unique_lock round(run_mu_);
-  {
-    std::lock_guard lk(mu_);
-    job_ = &fn;
-    job_n_ = n;
-    job_limit_ = max_workers;
-    next_.store(0, std::memory_order_relaxed);
-    busy_ = workers_.size();  // same lock as the generation bump: a worker
-    ++generation_;            // joins a round iff busy_ counted it
-  }
-  start_cv_.notify_all();
-  c_pool_rounds.add();
-  return Round(this, &fn, n, /*dispatched=*/true, std::move(round));
 }
 
 void ThreadPool::run(std::size_t n, const Task& fn, std::uint32_t max_workers) {
@@ -173,77 +125,42 @@ void ThreadPool::run(std::size_t n, const Task& fn, std::uint32_t max_workers) {
     for (std::size_t i = 0; i < n; ++i) fn(worker, i);
     return;
   }
-  Round round = submit(n, fn, max_workers);
-  round.wait();
-}
-
-// ------------------------------------------------------------------ Round
-
-ThreadPool::Round::Round(Round&& other) noexcept
-    : pool_(std::exchange(other.pool_, nullptr)),
-      fn_(other.fn_),
-      n_(other.n_),
-      dispatched_(other.dispatched_),
-      round_lock_(std::move(other.round_lock_)) {}
-
-ThreadPool::Round& ThreadPool::Round::operator=(Round&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr && dispatched_) {
-      try {
-        resolve(/*help=*/true);
-      } catch (...) {  // destructor semantics: errors need an explicit wait()
-      }
-    }
-    pool_ = std::exchange(other.pool_, nullptr);
-    fn_ = other.fn_;
-    n_ = other.n_;
-    dispatched_ = other.dispatched_;
-    round_lock_ = std::move(other.round_lock_);
+  if (max_workers < 1) max_workers = 1;
+  std::size_t spawned;
+  {
+    std::lock_guard lk(mu_);
+    spawned = workers_.size();
   }
-  return *this;
-}
-
-ThreadPool::Round::~Round() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) return;  // nothing started; drop the deferred body
-  try {
-    resolve(/*help=*/true);
-  } catch (...) {  // errors need an explicit wait() to observe
-  }
-}
-
-/// Shared tail of wait()/cancel()/~Round for dispatched rounds.
-void ThreadPool::Round::resolve(bool help) {
-  ThreadPool* pool = std::exchange(pool_, nullptr);
-  std::unique_lock round = std::move(round_lock_);
-  pool->finish_round(help, fn_, n_);  // may rethrow; round slot still freed
-}
-
-void ThreadPool::Round::wait() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) {
-    // Nothing was dispatched; the whole round runs inline here (exceptions
-    // propagate directly, matching the synchronous run() fast path).  A
-    // reentrant submit keeps the enclosing task's worker index.
-    ThreadPool* pool = std::exchange(pool_, nullptr);
-    const unsigned worker = tl_active_pool == pool ? tl_active_worker : 0;
-    const ActivePoolGuard guard(pool, worker);
-    for (std::size_t i = 0; i < n_; ++i) (*fn_)(worker, i);
+  if (spawned == 0 || n == 1 || max_workers == 1) {
+    // Nothing to fan out: run inline as worker 0 (exceptions propagate
+    // directly).
+    const ActivePoolGuard guard(this, 0);
+    for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
-  resolve(/*help=*/true);
-}
 
-void ThreadPool::Round::cancel() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) {  // never started: drop it outright
-    pool_ = nullptr;
-    return;
+  const std::lock_guard round(run_mu_);
+  {
+    std::lock_guard lk(mu_);
+    job_ = &fn;
+    job_n_ = n;
+    job_limit_ = max_workers;
+    next_.store(0, std::memory_order_relaxed);
+    busy_ = workers_.size();  // same lock as the generation bump: a worker
+    ++generation_;            // joins a round iff busy_ counted it
   }
-  // Exhaust the chunk cursor so unclaimed chunks never start; in-flight
-  // chunks finish normally and are awaited below.
-  pool_->next_.store(n_, std::memory_order_relaxed);
-  resolve(/*help=*/false);
+  start_cv_.notify_all();
+  c_pool_rounds.add();
+  work(0, fn, n);
+  std::exception_ptr error;
+  {
+    std::unique_lock lk(mu_);
+    done_cv_.wait(lk, [&] { return busy_ == 0; });
+    job_ = nullptr;
+    error = error_;
+    error_ = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& shared_pool() {

@@ -137,7 +137,7 @@ class PairChecker {
       d_h_.resize(targets_.size());
       bfs_.tree_begin(h_, u, targets_, h_view, t_);
       for (std::size_t i = 0; i < targets_.size(); ++i) {
-        const std::uint32_t hops = bfs_.tree_next(targets_[i]).dist;
+        const std::uint32_t hops = bfs_.tree_next(targets_[i]);
         d_h_[i] = hops == kUnreachableHops ? kUnreachableWeight
                                            : static_cast<Weight>(hops);
       }

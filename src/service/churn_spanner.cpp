@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/lbc.h"
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -18,8 +19,12 @@ const obs::Counter c_repair_promotions("service.repair.promotions");
 const obs::Counter c_rebuilds("service.rebuilds");
 const obs::Counter c_publishes("service.publishes");
 
-/// Budget slack mirroring the verifier's 1e-9 stretch tolerance, so a
-/// detour whose weight is exactly t*w(e) up to rounding still certifies.
+/// Slack added to the weighted repair-candidate filter only.  The filter
+/// selects a superset of the edges whose certificate may have used the
+/// removed edge, and every candidate is re-decided exactly, so widening it
+/// by rounding noise stays sound.  The decision itself (decide_spanned)
+/// uses the exact budget t * w(e): the verifier allows no slack, so a
+/// detour a hair over t * w(e) must not certify an edge as spanned.
 constexpr Weight kBudgetEps = 1e-9;
 
 }  // namespace
@@ -38,61 +43,38 @@ ChurnSpanner::ChurnSpanner(Graph initial, ChurnConfig config)
 }
 
 bool ChurnSpanner::decide_spanned(VertexId u, VertexId v, Weight w) {
-  // LBC(t, f) against the maintained H (Algorithm 2's sweep loop): find up
-  // to f+1 budget-bounded u-v paths, cutting each one's interior vertices
-  // (vertex model) / edges (edge model) before the next sweep.  All f+1
-  // paths found => they are pairwise disjoint => e is spanned.  Any sweep
-  // failing => the accumulated <= f cut separates u from v => not spanned.
-  // Weighted meshes sweep with budget-pruned Dijkstra (budget t * w(e))
-  // instead of t-hop BFS: churn order is not weight order, so the
-  // unweighted-view shortcut of the static greedy (Theorem 10) is unsound
-  // here, while the weighted certificate composes unconditionally.
+  // LBC(t, f) against the maintained H (Algorithm 2's sweep loop,
+  // lbc_sweeps): find up to f+1 budget-bounded u-v paths, cutting each
+  // one's interior vertices (vertex model) / edges (edge model) before the
+  // next sweep.  All f+1 paths found => they are pairwise disjoint => e is
+  // spanned.  Any sweep failing => the accumulated <= f cut separates u
+  // from v => not spanned.  Weighted meshes sweep with budget-pruned
+  // Dijkstra (budget t * w(e)) instead of t-hop BFS: churn order is not
+  // weight order, so the unweighted-view shortcut of the static greedy
+  // (Theorem 10) is unsound here, while the weighted certificate composes
+  // unconditionally.  The edge being decided is outside H (blocked_), and
+  // G has no parallel edges, so no sweep can find the one-hop u-v path.
   const std::uint32_t t = config_.params.stretch();
-  const std::uint32_t sweeps = config_.params.f + 1;
   const FaultView view{vcut_.bytes(), blocked_};
-  bool spanned = true;
-  for (std::uint32_t s = 0; s < sweeps; ++s) {
-    bool found;
-    if (g_.weighted()) {
-      found = dij_.shortest_path_arcs(g_, u, v, path_, view,
-                                      static_cast<Weight>(t) * w + kBudgetEps);
-    } else {
-      found = bfs_.shortest_path_arcs(g_, u, v, path_, view, t);
-    }
-    if (!found) {
-      spanned = false;
-      break;
-    }
-    if (s + 1 == sweeps) break;  // enough disjoint paths; no cut needed
-    if (config_.params.model == FaultModel::vertex) {
-      for (std::size_t i = 1; i + 1 < path_.size(); ++i) {
-        vcut_.set(path_[i].to);
-      }
-      if (path_.size() == 2) {
-        // A parallel-free graph has at most one interior-free u-v path: the
-        // direct edge.  It must be cut like an interior would be, or every
-        // later sweep rediscovers it and the decision overcounts disjoint
-        // paths (the static LBC masks it the same way).
-        const EdgeId direct = path_[1].edge;
-        if (blocked_[direct] == 0) {
-          blocked_[direct] = 1;
-          ecut_touched_.push_back(direct);
-        }
-      }
-    } else {
-      for (std::size_t i = 1; i < path_.size(); ++i) {
-        const EdgeId e = path_[i].edge;
+  const LbcSweeps outcome = lbc_sweeps(
+      config_.params.model, config_.params.f, path_,
+      [&](std::uint32_t, std::vector<PathStep>& path) {
+        return g_.weighted()
+                   ? dij_.shortest_path_arcs(g_, u, v, path, view,
+                                             static_cast<Weight>(t) * w)
+                   : bfs_.shortest_path_arcs(g_, u, v, path, view, t);
+      },
+      [&](VertexId x) { vcut_.set(x); },
+      [&](EdgeId e) {
         if (blocked_[e] == 0) {
           blocked_[e] = 1;
           ecut_touched_.push_back(e);
         }
-      }
-    }
-  }
+      });
   vcut_.reset_touched();
   for (const auto e : ecut_touched_) blocked_[e] = 0;
   ecut_touched_.clear();
-  return spanned;
+  return !outcome.yes;
 }
 
 UpdateResult ChurnSpanner::insert(VertexId u, VertexId v, Weight w) {

@@ -21,8 +21,8 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
   if (!g.weighted()) {
     // Unit weights collapse every per-edge budget to the same hop count
     // floor(alpha * 1 + beta), which is Algorithm 2 under a different t:
-    // delegate to the modified-greedy engines (batching, masked-tree repair,
-    // speculation — bit-identical at any thread count) via the hop override.
+    // delegate to the modified-greedy engine (terminal batching included)
+    // via the hop override.
     ModifiedGreedyConfig engine = config.engine;
     engine.hop_budget =
         static_cast<std::uint32_t>(std::floor(config.alpha + config.beta));
@@ -34,6 +34,9 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
   // nondecreasing weight order is required for the certification argument
   // (the same role it plays in Theorem 10), so config.engine.order is
   // honored only between by_weight and input on already-sorted inputs.
+  FTSPAN_REQUIRE(config.engine.exec.threads == 1,
+                 "the (alpha, beta)-greedy builds on the calling thread "
+                 "(config.engine.exec.threads must be 1)");
   const Timer timer;
   std::vector<EdgeId> order(g.m());
   std::iota(order.begin(), order.end(), 0);
@@ -56,9 +59,7 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
     if (config.engine.record_certificates)
       build.certificates.push_back(std::move(decision.cut));
   }
-  build.stats.search_sweeps = lbc.total_sweeps();
-  build.stats.arcs_traversed = lbc.arcs_scanned();
-  build.stats.arena_bytes = lbc.arena_bytes();
+  lbc.write_stats(build.stats);
   build.stats.seconds = timer.seconds();
   return build;
 }

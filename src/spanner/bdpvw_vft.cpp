@@ -12,14 +12,6 @@
 
 namespace ftspan {
 
-namespace {
-
-/// Same batch cap as the modified greedy (see modified_greedy.cpp): bounds
-/// the re-marking cost of re-beginning a hub's batch after an accept.
-constexpr std::size_t kMaxTerminalBatch = 512;
-
-}  // namespace
-
 SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
                                const BdpvwConfig& config) {
   params.validate();
@@ -40,7 +32,6 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
   build.spanner = Graph(g.n(), g.weighted());
   FaultSetSearch search(params.model);
   LbcSolver lbc(params.model);
-  lbc.set_masked_tree(config.masked_tree);
 
   const std::uint32_t t = params.stretch();
   // A hop-bounded cut certifies nothing about the weighted threshold
@@ -79,61 +70,17 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
   if (!filtered) {
     for (const auto id : order) commit(exact_witness(id), id);
   } else {
-    // The prefiltered scan is the modified greedy's batching loop with the
-    // hybrid resolution spliced in where the LBC answer used to be final.
-    const bool graft_accepts = params.f == 0;
-    std::vector<VertexId> targets;
-    std::size_t i = 0;
-    while (i < order.size()) {
-      const VertexId shared_u = g.edge(order[i]).u;
-      std::size_t j = i + 1;
-      if (config.batch_terminals) {
-        const std::size_t cap =
-            graft_accepts ? order.size() : i + kMaxTerminalBatch;
-        while (j < std::min(order.size(), cap) &&
-               g.edge(order[j]).u == shared_u)
-          ++j;
-      }
-      while (j - i > 1) {
-        targets.clear();
-        for (std::size_t p = i; p < j; ++p)
-          targets.push_back(g.edge(order[p]).v);
-        lbc.begin_batch(build.spanner, shared_u, targets, t);
-        const std::size_t base = i;
-        for (; i < j; ++i)
-          if (commit(resolve(lbc.decide_batched(i - base, params.f), order[i]),
-                     order[i])) {
-            if (graft_accepts) {
-              // f == 0 is an alpha-0 decision and never reaches the search:
-              // graft the accepted edge into the shared tree in place.
-              if (i + 1 < j)
-                lbc.extend_batch_after_accept(
-                    g.edge(order[i]).v,
-                    static_cast<EdgeId>(build.spanner.m() - 1));
-              continue;
-            }
-            ++i;
-            break;
-          }
-      }
-      if (j - i == 1) {
-        const auto& e = g.edge(order[i]);
-        commit(resolve(lbc.decide(build.spanner, e.u, e.v, t, params.f),
-                       order[i]),
-               order[i]);
-        ++i;
-      }
-    }
+    // The modified greedy's terminal-batched scan with the hybrid
+    // resolution spliced in where the LBC answer used to be final.  f == 0
+    // decisions never reach the search (an empty YES-cut is the witness), so
+    // the scan's alpha-0 graft path stays exact.
+    lbc_scan(g, order, build.spanner, lbc, t, params.f,
+             [&](LbcResult pre, EdgeId id) {
+               return commit(resolve(std::move(pre), id), id);
+             });
   }
 
-  build.stats.search_sweeps = lbc.total_sweeps();
-  build.stats.batched_sweeps = lbc.batched_sweeps();
-  build.stats.tree_reuse_hits = lbc.tree_reuse_hits();
-  build.stats.masked_reuse_hits = lbc.masked_reuse_hits();
-  build.stats.masked_tree_repairs = lbc.masked_tree_repairs();
-  build.stats.tree_extends = lbc.tree_extends();
-  build.stats.arcs_traversed = lbc.arcs_scanned();
-  build.stats.arena_bytes = lbc.arena_bytes();
+  lbc.write_stats(build.stats);
   build.stats.exact_search_nodes = search.nodes_visited();
   build.stats.seconds = timer.seconds();
   return build;

@@ -29,10 +29,9 @@
 // scan, exactly like exact_greedy_spanner.
 //
 // Determinism contract: sequential scan, nondecreasing weight with ties by
-// edge id; the LBC prefilter reuses the terminal-tree batching substrate
-// (one shared BFS tree per same-endpoint run, config.batch_terminals), and
-// every A/B knob leaves picks, certificates, and sweep counts bit-identical
-// — the filter changes who answers a decision, never the answer.
+// edge id; the LBC prefilter runs the modified greedy's terminal-batched
+// scan (lbc_scan in core/lbc.h: one shared BFS tree per same-endpoint run),
+// and the filter changes who answers a decision, never the answer.
 
 #pragma once
 
@@ -49,12 +48,6 @@ struct BdpvwConfig {
   /// identical either way (A/B switch for benchmarks and the differential
   /// tests — only stats.exact_searches moves).
   bool lbc_filter = true;
-  /// Serve prefilter sweep 0s from shared terminal trees
-  /// (LbcSolver::begin_batch); bit-identical A/B switch.
-  bool batch_terminals = true;
-  /// Serve prefilter masked sweeps from the repaired shared tree
-  /// (LbcSolver::set_masked_tree); bit-identical A/B switch.
-  bool masked_tree = true;
   /// Record the witnessing fault set of every accepted edge into
   /// SpannerBuild::certificates.  Filter-accepted edges store the LBC cut,
   /// search-accepted edges the branch-and-bound witness — both are valid

@@ -27,8 +27,6 @@ SpannerBuild build_exact(const Graph& g, const SpannerParams& params,
 SpannerBuild build_bdpvw(const Graph& g, const SpannerParams& params,
                          const SpannerAlgoOptions& o) {
   BdpvwConfig config;
-  config.batch_terminals = o.engine.batch_terminals;
-  config.masked_tree = o.engine.masked_tree;
   config.record_certificates = o.engine.record_certificates;
   return bdpvw_vft_spanner(g, params, config);
 }

@@ -37,10 +37,9 @@ struct SpannerAlgoOptions {
   /// from params (the modified-greedy-equivalent budget).
   double alpha = 0.0;
   double beta = 0.0;
-  /// Oracle-engine knobs: scan order, certificate recording, terminal
-  /// batching, masked-tree repair, threads.  Honored by the oracle-shaped
-  /// constructions (modified, alpha_beta, bdpvw); exact reads only
-  /// record_certificates.
+  /// Oracle-engine knobs: scan order and certificate recording.  Honored by
+  /// the oracle-shaped constructions (modified, alpha_beta); exact and bdpvw
+  /// read only record_certificates.
   ModifiedGreedyConfig engine;
   /// DK11 framework knobs.
   Dk11Config dk11;

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/check.h"
@@ -56,6 +57,14 @@ std::uint64_t Cli::get_uint(const std::string& name,
     throw std::invalid_argument("--" + name + " must be non-negative, got " +
                                 it->second);
   return static_cast<std::uint64_t>(value);
+}
+
+std::optional<std::string> Cli::unknown_flag(
+    std::span<const std::string_view> known) const {
+  for (const auto& [name, value] : values_)
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      return name;
+  return std::nullopt;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

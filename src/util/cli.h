@@ -8,7 +8,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 namespace ftspan {
 
@@ -40,6 +43,12 @@ class Cli {
 
   /// Value of --name as a double, or `fallback` when absent.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+
+  /// The first flag given on the command line (in name order) that is not
+  /// in `known`, or nullopt when every flag is known — lets a tool reject a
+  /// misspelled or unsupported flag instead of silently ignoring it.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      std::span<const std::string_view> known) const;
 
   /// Program name (argv[0]).
   [[nodiscard]] const std::string& program() const noexcept { return program_; }

@@ -1,20 +1,16 @@
-// Cross-engine differential fuzz harness: every engine variant of the
-// modified greedy — sequential | speculative, terminal-batched on/off,
-// masked-tree repair on/off, pipelined overlap on/off, terminal-batch work
-// stealing on/off, several thread counts — must produce bit-identical picks,
-// certificates, oracle-call and sweep counts on seeded random inputs across
-// both fault models.  A second tier pins the
-// masked-tree LBC oracle itself (decide_batched with repair) against the
-// dedicated per-pair oracle down to cuts and traces.  Every assertion names
-// the failing seed so a red run is reproducible from the log alone.
+// Differential fuzz harness: the modified greedy (terminal-batched scan,
+// alpha-0 graft) must produce bit-identical picks, certificates, oracle-call
+// and sweep counts to the test-side per-edge reference greedy
+// (testing::reference_greedy) on seeded random inputs across both fault
+// models and f in {0, 1, 2, ...}; tracing and the verifier's thread count
+// must never perturb a result.  Every assertion names the failing seed so a
+// red run is reproducible from the log alone.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "core/lbc.h"
 #include "core/modified_greedy.h"
 #include "fault/scenario.h"
 #include "fault/verifier.h"
@@ -22,6 +18,7 @@
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "spanner/baswana_sen.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ftspan {
@@ -29,34 +26,7 @@ namespace {
 
 // ----------------------------------------------------- engine-level harness
 
-struct EngineVariant {
-  const char* name;
-  bool batch;
-  bool masked;
-  std::uint32_t threads;
-  bool overlap;
-  bool steal;
-};
-
-// The speculative rows sweep the overlap (pipelined commit/evaluate windows)
-// x steal (terminal-batch chunk stealing) axes at threads {2, 8}; threads 1
-// is the sequential engine, where both knobs are inert by construction.
-constexpr EngineVariant kVariants[] = {
-    {"seq-batched", true, false, 1, true, true},
-    {"seq-masked-tree", true, true, 1, true, true},
-    {"seq-masked-no-batch", false, true, 1, true, true},  // masked inert alone
-    {"spec-2t", true, false, 2, true, true},
-    {"spec-2t-masked", true, true, 2, true, true},
-    {"spec-2t-no-overlap", true, true, 2, false, true},
-    {"spec-2t-no-steal", true, true, 2, true, false},
-    {"spec-2t-barrier", true, true, 2, false, false},
-    {"spec-8t-masked", true, true, 8, true, true},
-    {"spec-8t-barrier", true, true, 8, false, false},
-    {"spec-8t-unbatched", false, false, 8, true, true},
-};
-
-/// Runs every variant against the sequential-unbatched-unmasked reference
-/// and asserts bit-identity of everything a downstream consumer can see.
+/// Asserts the engine matches the per-edge reference on g.
 void expect_engines_agree(const Graph& g, const SpannerParams& params,
                           EdgeOrder order, std::uint64_t seed) {
   const std::string ctx = "seed=" + std::to_string(seed) +
@@ -65,48 +35,9 @@ void expect_engines_agree(const Graph& g, const SpannerParams& params,
                           " k=" + std::to_string(params.k) +
                           " f=" + std::to_string(params.f) + " model=" +
                           to_string(params.model);
-
-  ModifiedGreedyConfig ref_config;
-  ref_config.order = order;
-  ref_config.record_certificates = true;
-  ref_config.batch_terminals = false;
-  ref_config.masked_tree = false;
-  const auto ref = modified_greedy_spanner(g, params, ref_config);
-
-  for (const auto& variant : kVariants) {
-    ModifiedGreedyConfig config;
-    config.order = order;
-    config.record_certificates = true;
-    config.batch_terminals = variant.batch;
-    config.masked_tree = variant.masked;
-    config.exec.threads = variant.threads;
-    config.exec.overlap = variant.overlap;
-    config.exec.steal = variant.steal;
-    const auto build = modified_greedy_spanner(g, params, config);
-
-    ASSERT_EQ(build.picked, ref.picked) << ctx << " variant=" << variant.name;
-    EXPECT_EQ(build.stats.oracle_calls, ref.stats.oracle_calls)
-        << ctx << " variant=" << variant.name;
-    EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps)
-        << ctx << " variant=" << variant.name;
-    ASSERT_EQ(build.certificates.size(), ref.certificates.size())
-        << ctx << " variant=" << variant.name;
-    for (std::size_t i = 0; i < ref.certificates.size(); ++i)
-      ASSERT_EQ(build.certificates[i].ids, ref.certificates[i].ids)
-          << ctx << " variant=" << variant.name << " certificate=" << i;
-    if (!variant.batch) {
-      EXPECT_EQ(build.stats.masked_reuse_hits, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-    if (!variant.overlap || variant.threads == 1) {
-      EXPECT_EQ(build.stats.overlap_windows, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-    if (!variant.steal || variant.threads == 1) {
-      EXPECT_EQ(build.stats.stolen_chunks, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-  }
+  ModifiedGreedyConfig config;
+  config.order = order;
+  (void)testing::expect_matches_reference(g, params, config, ctx);
 }
 
 TEST(Differential, EnginesAgreeOnRandomGraphs) {
@@ -116,10 +47,10 @@ TEST(Differential, EnginesAgreeOnRandomGraphs) {
     const Graph g = gnp(n, 0.10 + 0.04 * static_cast<double>(rng.next_below(4)),
                         rng);
     const auto k = static_cast<std::uint32_t>(1 + rng.next_below(3));
-    const auto f = static_cast<std::uint32_t>(rng.next_below(4));
-    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_engines_agree(g, SpannerParams{.k = k, .f = f, .model = model},
-                           EdgeOrder::input, seed);
+    for (const std::uint32_t f : {0u, 1u, 2u, 3u})
+      for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
+        expect_engines_agree(g, SpannerParams{.k = k, .f = f, .model = model},
+                             EdgeOrder::input, seed);
   }
 }
 
@@ -128,10 +59,10 @@ TEST(Differential, EnginesAgreeOnWeightedGraphs) {
     Rng rng(0xd1ffu * seed);
     const Graph g0 = random_geometric(30, 0.35, rng);
     const Graph g = with_uniform_weights(g0, 0.5, 2.0, rng);
-    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_engines_agree(g,
-                           SpannerParams{.k = 2, .f = 2, .model = model},
-                           EdgeOrder::by_weight, seed);
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
+        expect_engines_agree(g, SpannerParams{.k = 2, .f = f, .model = model},
+                             EdgeOrder::by_weight, seed);
   }
 }
 
@@ -141,70 +72,10 @@ TEST(Differential, EnginesAgreeOnSparseDisconnectedGraphs) {
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     Rng rng(0xd15cu * seed);
     const Graph g = gnp(40, 0.04, rng);
-    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_engines_agree(g, SpannerParams{.k = 2, .f = 2, .model = model},
-                           EdgeOrder::input, seed);
-  }
-}
-
-// ----------------------------------------------------- oracle-level harness
-
-/// Pins masked-tree decide_batched against the dedicated per-pair oracle:
-/// decisions, certificates, sweep counts, AND traces must be bit-identical.
-void expect_masked_oracle_matches(const Graph& g, FaultModel model,
-                                  std::uint32_t t, std::uint32_t alpha,
-                                  VertexId u,
-                                  const std::vector<VertexId>& targets,
-                                  std::uint64_t seed,
-                                  bool expect_masked_hits = false) {
-  const std::string ctx = "seed=" + std::to_string(seed) + " u=" +
-                          std::to_string(u) + " t=" + std::to_string(t) +
-                          " alpha=" + std::to_string(alpha) + " model=" +
-                          to_string(model);
-
-  LbcSolver masked(model);
-  masked.set_masked_tree(true);
-  LbcSolver reference(model);
-  std::vector<LbcResult> results(targets.size());
-  std::vector<LbcTrace> traces(targets.size());
-  masked.decide_batch(g, u, targets, t, alpha, results, traces.data());
-
-  for (std::size_t j = 0; j < targets.size(); ++j) {
-    LbcTrace ref_trace;
-    const LbcResult ref =
-        reference.decide(g, u, targets[j], t, alpha, &ref_trace);
-    ASSERT_EQ(results[j].yes, ref.yes) << ctx << " target=" << targets[j];
-    ASSERT_EQ(results[j].sweeps, ref.sweeps) << ctx << " target=" << targets[j];
-    ASSERT_EQ(results[j].cut.ids, ref.cut.ids) << ctx << " target=" << targets[j];
-    ASSERT_EQ(traces[j].expanded, ref_trace.expanded)
-        << ctx << " target=" << targets[j];
-  }
-  EXPECT_EQ(masked.total_sweeps(), reference.total_sweeps()) << ctx;
-  // Every sweep past the first of a multi-sweep decision was served from
-  // the repaired tree, never a dedicated masked BFS.
-  EXPECT_EQ(masked.masked_reuse_hits(),
-            masked.total_sweeps() - masked.batched_sweeps())
-      << ctx;
-  if (expect_masked_hits) {  // guard against the harness passing vacuously
-    EXPECT_GT(masked.masked_reuse_hits(), 0u) << ctx;
-  }
-}
-
-TEST(Differential, MaskedTreeOracleMatchesDedicatedBfs) {
-  for (std::uint64_t seed = 41; seed <= 52; ++seed) {
-    Rng rng(0x0bacULL * seed + 17);
-    const auto n = 16 + 8 * static_cast<std::size_t>(rng.next_below(6));
-    const Graph g =
-        gnp(n, 0.08 + 0.05 * static_cast<double>(rng.next_below(5)), rng);
-    const auto u = static_cast<VertexId>(rng.next_below(g.n()));
-    std::vector<VertexId> targets;
-    for (VertexId v = 0; v < g.n(); ++v)
-      if (v != u) targets.push_back(v);
-    std::shuffle(targets.begin(), targets.end(), rng);
-    const auto t = static_cast<std::uint32_t>(1 + rng.next_below(5));
-    const auto alpha = static_cast<std::uint32_t>(rng.next_below(5));
-    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_masked_oracle_matches(g, model, t, alpha, u, targets, seed);
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
+        expect_engines_agree(g, SpannerParams{.k = 2, .f = f, .model = model},
+                             EdgeOrder::input, seed);
   }
 }
 
@@ -212,8 +83,8 @@ TEST(Differential, MaskedTreeOracleMatchesDedicatedBfs) {
 
 /// The obs layer's second CI contract: tracing observes, never steers.
 /// Every consumer-visible output — picks, certificates, sweep counts, and
-/// the verifier's report — must be bit-identical with tracing on vs off at
-/// threads {1, 2, 8}.
+/// the verifier's report — must be bit-identical with tracing on vs off,
+/// with the verifier at threads {1, 2, 8}.
 TEST(Differential, TracingOnNeverPerturbsResults) {
   obs::reset_for_testing();
   Rng rng(0x0b5eULL);
@@ -223,18 +94,19 @@ TEST(Differential, TracingOnNeverPerturbsResults) {
     const std::string ctx = "threads=" + std::to_string(threads);
     ModifiedGreedyConfig config;
     config.record_certificates = true;
-    config.exec.threads = threads;
+    ExecPolicy exec;
+    exec.threads = threads;
 
     const auto off = modified_greedy_spanner(g, params, config);
     Rng verify_off_rng(99);
     const auto report_off =
-        verify_sampled(g, off.spanner, params, 8, verify_off_rng);
+        verify_sampled(g, off.spanner, params, 8, verify_off_rng, exec);
 
     obs::trace_start(obs::TraceOptions{std::size_t{1} << 12});
     const auto on = modified_greedy_spanner(g, params, config);
     Rng verify_on_rng(99);
     const auto report_on =
-        verify_sampled(g, on.spanner, params, 8, verify_on_rng);
+        verify_sampled(g, on.spanner, params, 8, verify_on_rng, exec);
     obs::trace_stop();
     obs::metrics_stop();
 
@@ -304,22 +176,6 @@ TEST(Differential, ScenarioStormsBitIdenticalAcrossThreads) {
         }
       }
     }
-  }
-}
-
-TEST(Differential, MaskedTreeOracleMatchesOnDenseGraphs) {
-  // Dense rows mean deep subtrees hang off few root children, so one cut
-  // vertex orphans a large region — the stress case for re-attachment.
-  for (std::uint64_t seed = 61; seed <= 64; ++seed) {
-    Rng rng(0xd05eULL * seed + 3);
-    const Graph g = gnp(28, 0.45, rng);
-    const auto u = static_cast<VertexId>(rng.next_below(g.n()));
-    std::vector<VertexId> targets;
-    for (VertexId v = 0; v < g.n(); ++v)
-      if (v != u) targets.push_back(v);
-    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_masked_oracle_matches(g, model, 3, 4, u, targets, seed,
-                                   /*expect_masked_hits=*/true);
   }
 }
 

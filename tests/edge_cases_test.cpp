@@ -1,7 +1,7 @@
 // Degenerate-input sweep: f = 0, k = 1, disconnected graphs, and
-// single-vertex / empty graphs through the modified greedy (every engine
-// variant), the verifier, and the batched / masked-tree LBC paths.  Several
-// of these previously passed only by accident — this file makes the
+// single-vertex / empty graphs through the modified greedy (against the
+// per-edge reference greedy), the verifier, and the batched LBC path.
+// Several of these previously passed only by accident — this file makes the
 // contracts explicit.
 
 #include <gtest/gtest.h>
@@ -15,39 +15,22 @@
 #include "fault/verifier.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ftspan {
 namespace {
 
-/// All engine variants must agree and the result must verify exhaustively.
+/// The engine must match the per-edge reference and verify exhaustively.
 void expect_build_ok(const Graph& g, const SpannerParams& params) {
-  ModifiedGreedyConfig ref_config;
-  ref_config.order = EdgeOrder::input;
-  ref_config.batch_terminals = false;
-  ref_config.masked_tree = false;
-  const auto ref = modified_greedy_spanner(g, params, ref_config);
+  ModifiedGreedyConfig config;
+  config.order = EdgeOrder::input;
+  const auto build = testing::expect_matches_reference(
+      g, params, config,
+      g.summary() + " k=" + std::to_string(params.k) +
+          " f=" + std::to_string(params.f));
 
-  for (const bool batch : {false, true}) {
-    for (const bool masked : {false, true}) {
-      for (const std::uint32_t threads : {1u, 2u}) {
-        ModifiedGreedyConfig config;
-        config.order = EdgeOrder::input;
-        config.batch_terminals = batch;
-        config.masked_tree = masked;
-        config.exec.threads = threads;
-        const auto build = modified_greedy_spanner(g, params, config);
-        EXPECT_EQ(build.picked, ref.picked)
-            << g.summary() << " k=" << params.k << " f=" << params.f
-            << " batch=" << batch << " masked=" << masked
-            << " threads=" << threads;
-        EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps)
-            << g.summary() << " batch=" << batch << " masked=" << masked;
-      }
-    }
-  }
-
-  const auto report = verify_exhaustive(g, ref.spanner, params);
+  const auto report = verify_exhaustive(g, build.spanner, params);
   EXPECT_TRUE(report.ok) << g.summary() << " k=" << params.k
                          << " f=" << params.f << " max_stretch "
                          << report.max_stretch;
@@ -118,8 +101,8 @@ TEST(EdgeCases, TwoVertexGraph) {
 }
 
 TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
-  // Batched + masked-tree decisions on a disconnected graph: unreachable
-  // targets, one-hop targets (empty cut growth), and f = 0 single sweeps.
+  // Batched decisions on a disconnected graph: unreachable targets, one-hop
+  // targets (empty cut growth), and f = 0 single sweeps.
   Graph g(7);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
@@ -128,23 +111,17 @@ TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
   const std::vector<VertexId> targets = {1, 2, 3, 4, 5, 6};
   for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
     for (const std::uint32_t alpha : {0u, 1u, 3u}) {
-      LbcSolver masked(model);
-      masked.set_masked_tree(true);
+      LbcSolver batched(model);
       LbcSolver reference(model);
-      std::vector<LbcResult> results(targets.size());
-      std::vector<LbcTrace> traces(targets.size());
-      masked.decide_batch(g, 0, targets, 3, alpha, results, traces.data());
+      batched.begin_batch(g, 0, targets, 3);
       for (std::size_t j = 0; j < targets.size(); ++j) {
-        LbcTrace ref_trace;
-        const LbcResult ref =
-            reference.decide(g, 0, targets[j], 3, alpha, &ref_trace);
-        EXPECT_EQ(results[j].yes, ref.yes)
+        const LbcResult result = batched.decide_batched(j, alpha);
+        const LbcResult ref = reference.decide(g, 0, targets[j], 3, alpha);
+        EXPECT_EQ(result.yes, ref.yes)
             << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
-        EXPECT_EQ(results[j].sweeps, ref.sweeps)
+        EXPECT_EQ(result.sweeps, ref.sweeps)
             << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
-        EXPECT_EQ(results[j].cut.ids, ref.cut.ids)
-            << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
-        EXPECT_EQ(traces[j].expanded, ref_trace.expanded)
+        EXPECT_EQ(result.cut.ids, ref.cut.ids)
             << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
       }
     }

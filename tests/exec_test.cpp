@@ -1,20 +1,17 @@
-// Tests for the src/exec/ parallel oracle engine: the fork-join pool, the
-// per-thread search arenas, and the speculative-evaluate / sequential-commit
-// greedy's equivalence with the sequential engine.
+// Tests for the src/exec/ fork-join pool (the verifier's fan-out) and for
+// the build entry points' rejection of thread counts other than 1.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/modified_greedy.h"
-#include "exec/speculative_greedy.h"
 #include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "spanner/alpha_beta.h"
 #include "util/rng.h"
 
 namespace ftspan {
@@ -114,123 +111,20 @@ TEST(ThreadPool, MaxWorkersCapsParticipation) {
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, SubmitOverlapsCallerWorkUntilWait) {
-  // submit() returns immediately; pool workers drain chunks while the caller
-  // does unrelated work, and wait() joins + blocks until every chunk ran.
-  exec::ThreadPool pool(4);
-  constexpr std::size_t kTasks = 500;
-  std::vector<std::atomic<int>> hits(kTasks);
-  exec::ThreadPool::Task task = [&](unsigned worker, std::size_t i) {
-    EXPECT_LT(worker, 4u);
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  };
-  auto round = pool.submit(kTasks, task);
-  EXPECT_TRUE(round.active());
-  std::size_t caller_work = 0;  // the "commit phase" the round overlaps
-  for (std::size_t i = 0; i < 10000; ++i) caller_work += i;
-  EXPECT_EQ(caller_work, 10000u * 9999u / 2u);
-  round.wait();
-  EXPECT_FALSE(round.active());
-  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, CancelSkipsUnclaimedChunks) {
-  // One spawned worker blocks inside chunk 0; cancel() exhausts the chunk
-  // cursor while it is blocked, so no other chunk ever starts.
-  exec::ThreadPool pool(2);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<std::size_t> ran{0};
-  exec::ThreadPool::Task task = [&](unsigned, std::size_t i) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-    if (i == 0) {
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    }
-  };
-  auto round = pool.submit(1000, task);
-  while (!started.load()) std::this_thread::yield();
-  // The lone worker is pinned in chunk 0: cancel stops everything else, then
-  // a helper releases the in-flight chunk so cancel's drain can finish.
-  std::thread helper([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    release.store(true);
-  });
-  round.cancel();
-  helper.join();
-  EXPECT_EQ(ran.load(), 1u);
-  // The pool stays usable after a cancelled round.
-  std::atomic<std::size_t> again{0};
-  pool.run(64, [&](unsigned, std::size_t) {
-    again.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(again.load(), 64u);
-}
-
 TEST(ThreadPool, OversubscribedClaims) {
   // Far more chunks than workers, and a participation request far wider than
   // the pool: the chunk cursor still hands out every index exactly once.
   exec::ThreadPool pool(3);
   constexpr std::size_t kTasks = 5000;
   std::vector<std::atomic<int>> hits(kTasks);
-  exec::ThreadPool::Task task = [&](unsigned worker, std::size_t i) {
-    EXPECT_LT(worker, 3u);
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  };
-  auto round = pool.submit(kTasks, task, /*max_workers=*/64);
-  round.wait();
+  pool.run(
+      kTasks,
+      [&](unsigned worker, std::size_t i) {
+        EXPECT_LT(worker, 3u);
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      },
+      /*max_workers=*/64);
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
-TEST(ThreadPool, SubmittedRoundPropagatesExceptionAtWait) {
-  exec::ThreadPool pool(4);
-  std::atomic<std::size_t> ran{0};
-  exec::ThreadPool::Task task = [&](unsigned, std::size_t i) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-    if (i == 13) throw std::runtime_error("mid-steal boom");
-  };
-  auto round = pool.submit(64, task);
-  EXPECT_THROW(round.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 64u);  // remaining chunks still ran
-  std::atomic<std::size_t> again{0};
-  pool.run(8, [&](unsigned, std::size_t) {
-    again.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(again.load(), 8u);
-}
-
-TEST(ThreadPool, CancelledRoundStillPropagatesException) {
-  // A chunk that threw before the cancel must surface its error from
-  // cancel(), not vanish with the discarded round.
-  exec::ThreadPool pool(2);
-  std::atomic<bool> started{false};
-  exec::ThreadPool::Task task = [&](unsigned, std::size_t i) {
-    if (i == 0) {
-      started.store(true);
-      throw std::runtime_error("boom before cancel");
-    }
-  };
-  auto round = pool.submit(1000, task);
-  while (!started.load()) std::this_thread::yield();
-  EXPECT_THROW(round.cancel(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitWithoutWorkersDefersInlineToWait) {
-  // A 1-thread pool dispatches nothing: the round body runs inline at
-  // wait(), and cancel() drops it without running anything.
-  exec::ThreadPool pool(1);
-  std::size_t ran = 0;
-  exec::ThreadPool::Task task = [&](unsigned worker, std::size_t) {
-    EXPECT_EQ(worker, 0u);
-    ++ran;
-  };
-  auto waited = pool.submit(5, task);
-  EXPECT_EQ(ran, 0u);  // nothing dispatched yet
-  waited.wait();
-  EXPECT_EQ(ran, 5u);
-  auto cancelled = pool.submit(5, task);
-  cancelled.cancel();
-  EXPECT_EQ(ran, 5u);  // dropped outright
 }
 
 TEST(ThreadPool, ReentrantRunFromWorkerExecutesInline) {
@@ -263,201 +157,32 @@ TEST(ThreadPool, SharedPoolIsProcessWideAndGrows) {
   EXPECT_EQ(count.load(), 64u);
 }
 
-// ------------------------------------------- speculative greedy equivalence
+// ------------------------------------------------ builds stay sequential
 
-void expect_equivalent(const Graph& g, const SpannerParams& params,
-                       std::uint32_t threads, std::uint32_t window = 0,
-                       bool overlap = true, bool steal = true) {
-  ModifiedGreedyConfig seq_config;
-  seq_config.record_certificates = true;
-  const auto sequential = modified_greedy_spanner(g, params, seq_config);
-
-  ModifiedGreedyConfig par_config = seq_config;
-  par_config.exec.threads = threads;
-  par_config.exec.window = window;
-  par_config.exec.overlap = overlap;
-  par_config.exec.steal = steal;
-  const auto parallel = modified_greedy_spanner(g, params, par_config);
-
-  EXPECT_EQ(parallel.picked, sequential.picked);
-  EXPECT_EQ(parallel.spanner.m(), sequential.spanner.m());
-  EXPECT_EQ(parallel.stats.oracle_calls, sequential.stats.oracle_calls);
-  EXPECT_EQ(parallel.stats.search_sweeps, sequential.stats.search_sweeps);
-  ASSERT_EQ(parallel.certificates.size(), sequential.certificates.size());
-  for (std::size_t i = 0; i < parallel.certificates.size(); ++i) {
-    EXPECT_EQ(parallel.certificates[i].model, sequential.certificates[i].model);
-    EXPECT_EQ(parallel.certificates[i].ids, sequential.certificates[i].ids)
-        << "certificate " << i;
-  }
-}
-
-TEST(SpeculativeGreedy, MatchesSequentialVertexModel) {
+TEST(ExecPolicy, BuildsRejectThreadsOtherThanOne) {
+  // Builds run on the calling thread; a request for more (or auto) threads
+  // fails loudly instead of silently building sequentially.
   Rng rng(101);
-  const Graph g = gnp(60, 0.2, rng);
-  expect_equivalent(g, SpannerParams{.k = 2, .f = 2}, 4);
-}
-
-TEST(SpeculativeGreedy, MatchesSequentialEdgeModel) {
-  Rng rng(102);
-  const Graph g = gnp(60, 0.2, rng);
-  expect_equivalent(g, SpannerParams{.k = 2, .f = 3, .model = FaultModel::edge},
-                    3);
-}
-
-TEST(SpeculativeGreedy, MatchesSequentialWeighted) {
-  Rng rng(103);
-  const Graph g0 = random_geometric(48, 0.3, rng);
-  const Graph g = with_uniform_weights(g0, 0.5, 2.0, rng);
-  expect_equivalent(g, SpannerParams{.k = 3, .f = 1}, 4);
-}
-
-TEST(SpeculativeGreedy, MatchesSequentialZeroFaults) {
-  // f = 0 degenerates to the classic greedy: alpha = 0, one sweep per call.
-  Rng rng(104);
-  const Graph g = gnp(50, 0.25, rng);
-  expect_equivalent(g, SpannerParams{.k = 2, .f = 0}, 4);
-}
-
-TEST(SpeculativeGreedy, MatchesSequentialDenseHighFaults) {
-  Rng rng(105);
-  const Graph g = gnp(32, 0.6, rng);
-  expect_equivalent(g, SpannerParams{.k = 2, .f = 5}, 8);
-}
-
-TEST(SpeculativeGreedy, WindowOfOneDegeneratesToSequentialScan) {
-  Rng rng(106);
-  const Graph g = gnp(40, 0.25, rng);
-  expect_equivalent(g, SpannerParams{.k = 2, .f = 2}, 4, /*window=*/1);
-}
-
-TEST(SpeculativeGreedy, EmptyAndTinyGraphs) {
-  ModifiedGreedyConfig config;
-  config.exec.threads = 4;
-
-  const Graph empty(0);
-  const auto b0 = modified_greedy_spanner(empty, SpannerParams{}, config);
-  EXPECT_EQ(b0.spanner.m(), 0u);
-  EXPECT_TRUE(b0.picked.empty());
-
-  Graph single(2);
-  single.add_edge(0, 1);
-  const auto b1 = modified_greedy_spanner(single, SpannerParams{}, config);
-  EXPECT_EQ(b1.picked, (std::vector<EdgeId>{0}));
-}
-
-TEST(SpeculativeGreedy, InstrumentationIsConsistent) {
-  Rng rng(107);
-  const Graph g = gnp(64, 0.2, rng);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 4;
-  const auto build = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2},
-                                             config);
-  EXPECT_EQ(build.stats.threads, 4u);
-  EXPECT_EQ(build.stats.oracle_calls, g.m());
-  EXPECT_GE(build.stats.spec_evaluated, build.stats.oracle_calls);
-  EXPECT_GE(build.stats.spec_windows, 1u);
-  // Committed work is exactly the sequential engine's; waste is extra.
-  const auto sequential = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2});
-  EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps);
-  EXPECT_EQ(sequential.stats.spec_evaluated, 0u);
-  EXPECT_EQ(sequential.stats.spec_windows, 0u);
-}
-
-TEST(SpeculativeGreedy, CallerOwnedPool) {
-  // ExecPolicy::pool routes the build through a caller-owned pool instead of
-  // the process-wide one; picks are unchanged.
-  Rng rng(109);
-  const Graph g = gnp(48, 0.25, rng);
-  exec::ThreadPool pool(6);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 3;
-  config.exec.pool = &pool;
-  const auto build =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2}, config);
-  const auto sequential =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2});
-  EXPECT_EQ(build.picked, sequential.picked);
-  EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps);
-}
-
-TEST(SpeculativeGreedy, BatchingOffMatchesToo) {
-  Rng rng(110);
-  const Graph g = gnp(52, 0.22, rng);
-  ModifiedGreedyConfig batched, unbatched;
-  batched.exec.threads = 4;
-  unbatched.exec.threads = 4;
-  unbatched.batch_terminals = false;
-  const auto a = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2}, batched);
-  const auto b =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2}, unbatched);
-  EXPECT_EQ(a.picked, b.picked);
-  EXPECT_EQ(a.stats.search_sweeps, b.stats.search_sweeps);
-  EXPECT_GT(a.stats.batched_sweeps, 0u);
-  EXPECT_EQ(b.stats.batched_sweeps, 0u);
-}
-
-TEST(SpeculativeGreedy, OverlapAndStealAxesMatchSequential) {
-  // The pipelined double-buffered windows and terminal-batch work stealing
-  // must be invisible in every output: picks, certificates, sweeps.
-  Rng rng(111);
-  const Graph g = gnp(64, 0.18, rng);
-  for (const std::uint32_t threads : {2u, 8u})
-    for (const bool overlap : {false, true})
-      for (const bool steal : {false, true})
-        expect_equivalent(g, SpannerParams{.k = 2, .f = 2}, threads,
-                          /*window=*/0, overlap, steal);
-}
-
-TEST(SpeculativeGreedy, PipelineCountersFire) {
-  // A reject-heavy build grows the window, so overlapped evaluations and
-  // chunk splits of dominant terminal batches both actually happen.
-  Rng rng(112);
-  const Graph g = gnp(256, 0.12, rng);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 4;
-  const auto build =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1}, config);
-  EXPECT_GT(build.stats.overlap_windows, 0u);
-  EXPECT_GT(build.stats.stolen_chunks, 0u);
-  EXPECT_LE(build.stats.overlap_windows, build.stats.spec_windows);
-}
-
-TEST(SpeculativeGreedy, KnobsOffLeaveCountersZero) {
-  Rng rng(113);
-  const Graph g = gnp(96, 0.15, rng);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 4;
-  config.exec.overlap = false;
-  config.exec.steal = false;
-  const auto build =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2}, config);
-  EXPECT_EQ(build.stats.overlap_windows, 0u);
-  EXPECT_EQ(build.stats.stolen_chunks, 0u);
-  const auto sequential =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 2});
-  EXPECT_EQ(build.picked, sequential.picked);
-  EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps);
-}
-
-TEST(SpeculativeGreedy, FixedWindowPipelineMatches) {
-  // Fixed (non-adaptive) windows through the pipelined path, both parities
-  // of window vs batch boundaries.
-  Rng rng(114);
-  const Graph g = gnp(48, 0.25, rng);
-  for (const std::uint32_t window : {2u, 7u, 64u})
-    expect_equivalent(g, SpannerParams{.k = 2, .f = 2}, 4, window);
-}
-
-TEST(SpeculativeGreedy, AutoThreadsResolves) {
-  Rng rng(108);
   const Graph g = gnp(30, 0.3, rng);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 0;  // auto
-  const auto build = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1},
-                                             config);
-  EXPECT_GE(build.stats.threads, 1u);
-  const auto sequential = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1});
-  EXPECT_EQ(build.picked, sequential.picked);
+  for (const std::uint32_t threads : {0u, 2u, 4u}) {
+    ModifiedGreedyConfig config;
+    config.exec.threads = threads;
+    EXPECT_THROW((void)modified_greedy_spanner(g, SpannerParams{}, config),
+                 std::invalid_argument)
+        << "threads=" << threads;
+    AlphaBetaConfig ab;
+    ab.engine.exec.threads = threads;
+    EXPECT_THROW((void)alpha_beta_spanner(g, SpannerParams{}, ab),
+                 std::invalid_argument)
+        << "threads=" << threads;
+    const Graph weighted = with_uniform_weights(g, 1.0, 2.0, rng);
+    EXPECT_THROW((void)alpha_beta_spanner(weighted, SpannerParams{}, ab),
+                 std::invalid_argument)
+        << "weighted threads=" << threads;
+  }
+  ModifiedGreedyConfig config;  // threads = 1, the default
+  EXPECT_EQ(modified_greedy_spanner(g, SpannerParams{}, config).stats.oracle_calls,
+            g.m());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/modified_greedy.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ftspan {
@@ -27,41 +28,18 @@ static const std::vector<EdgeId> kGoldenVertexK3F1 = {0, 1, 2, 3, 4, 5, 6, 7, 8,
 // kGoldenEdgeWeightedK2F1: n=36 m=214 k=2 f=1 model=edge -> 82 picked
 static const std::vector<EdgeId> kGoldenEdgeWeightedK2F1 = {136, 144, 29, 152, 150, 111, 142, 3, 198, 172, 140, 80, 159, 161, 43, 160, 15, 120, 61, 33, 67, 18, 185, 146, 97, 91, 169, 141, 95, 195, 81, 202, 13, 25, 178, 186, 1, 149, 101, 31, 190, 207, 200, 20, 84, 92, 36, 197, 187, 34, 23, 126, 62, 134, 69, 133, 75, 98, 164, 107, 70, 180, 117, 171, 131, 177, 121, 26, 38, 5, 49, 90, 6, 138, 189, 183, 56, 60, 193, 212, 59, 2};
 
-// Checks the recorded picks for the sequential engine and then for the
-// speculative engine (src/exec/) at several thread counts, each with
-// terminal-batched LBC both enabled and disabled: the parallel commit
-// protocol and the shared terminal trees must reproduce the sequential
-// unbatched scan bit-exactly, down to the per-committed-decision sweep
-// counts.
+// Checks the recorded picks, then pins oracle calls and sweep counts to the
+// per-edge reference greedy (tests/test_util.h): the shared terminal trees
+// of the batched scan must reproduce the per-edge scan bit-exactly.
 void expect_golden(const Graph& g, const SpannerParams& params,
                    const std::vector<EdgeId>& golden) {
-  const auto sequential = modified_greedy_spanner(g, params);
-  EXPECT_EQ(sequential.picked, golden);
-  EXPECT_EQ(sequential.spanner.m(), golden.size());
-  EXPECT_EQ(sequential.stats.threads, 1u);
-
-  for (const bool batch : {true, false}) {
-    for (const std::uint32_t threads : {1u, 2u, 8u}) {
-      ModifiedGreedyConfig config;
-      config.exec.threads = threads;
-      config.batch_terminals = batch;
-      const auto build = modified_greedy_spanner(g, params, config);
-      EXPECT_EQ(build.picked, golden)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(build.stats.threads, threads);
-      EXPECT_EQ(build.stats.oracle_calls, sequential.stats.oracle_calls)
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps)
-          << "threads=" << threads << " batch=" << batch;
-      if (threads > 1) {
-        EXPECT_GE(build.stats.spec_evaluated, build.stats.oracle_calls);
-      }
-      if (!batch) {
-        EXPECT_EQ(build.stats.batched_sweeps, 0u);
-        EXPECT_EQ(build.stats.tree_reuse_hits, 0u);
-      }
-    }
-  }
+  const auto build = modified_greedy_spanner(g, params);
+  EXPECT_EQ(build.picked, golden);
+  EXPECT_EQ(build.spanner.m(), golden.size());
+  const auto ref = testing::reference_greedy(g, params);
+  EXPECT_EQ(ref.picked, golden);
+  EXPECT_EQ(build.stats.oracle_calls, ref.stats.oracle_calls);
+  EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps);
 }
 
 TEST(GoldenGreedy, VertexModelK2F2) {
@@ -91,39 +69,6 @@ TEST(GoldenGreedy, EdgeModelWeightedK2F1) {
   const Graph g = with_uniform_weights(g0, 0.5, 2.0, rng);
   expect_golden(g, SpannerParams{.k = 2, .f = 1, .model = FaultModel::edge},
                 kGoldenEdgeWeightedK2F1);
-}
-
-// The commit protocol must be deterministic under ANY window schedule, not
-// just the adaptive one: hammer randomized fixed window sizes (including the
-// degenerate window of 1) and odd thread counts against the recorded picks.
-TEST(GoldenGreedy, SpeculationWindowStress) {
-  Rng graph_rng(7001);
-  const Graph g = gnp(48, 0.25, graph_rng);
-  const struct {
-    SpannerParams params;
-    const std::vector<EdgeId>* golden;
-  } cases[] = {
-      {SpannerParams{.k = 2, .f = 2, .model = FaultModel::vertex},
-       &kGoldenVertexK2F2},
-      {SpannerParams{.k = 2, .f = 2, .model = FaultModel::edge},
-       &kGoldenEdgeK2F2},
-  };
-
-  Rng rng(0x51ce0ULL);
-  for (const auto& c : cases) {
-    for (int trial = 0; trial < 8; ++trial) {
-      ModifiedGreedyConfig config;
-      config.exec.threads = 2 + static_cast<std::uint32_t>(rng.next_below(5));
-      config.exec.window = 1 + static_cast<std::uint32_t>(rng.next_below(64));
-      config.batch_terminals = rng.next_below(2) == 0;
-      const auto build = modified_greedy_spanner(g, c.params, config);
-      EXPECT_EQ(build.picked, *c.golden)
-          << "model=" << to_string(c.params.model)
-          << " threads=" << config.exec.threads
-          << " window=" << config.exec.window
-          << " batch=" << config.batch_terminals;
-    }
-  }
 }
 
 }  // namespace

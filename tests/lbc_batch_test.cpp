@@ -1,14 +1,16 @@
 // Bit-identity tests for terminal-batched LBC: the resumable terminal-tree
 // session (BfsRunner::tree_begin / tree_next) must answer every target
-// exactly like a dedicated single-target search — distance, path, and the
-// expanded read set — and LbcSolver::decide_batched must reproduce decide()
-// down to cuts, sweep counts, and traces, at any query order and under
-// accept-driven re-batching.
+// exactly like a dedicated single-target search — distance and path — and
+// LbcSolver::decide_batched must reproduce decide() down to cuts and sweep
+// counts, at any query order and under accept-driven re-batching.  The
+// greedy's batched scan (lbc_scan) is pinned against the test-side per-edge
+// reference greedy.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/lbc.h"
@@ -17,6 +19,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/search.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace ftspan {
@@ -35,8 +38,8 @@ void expect_tree_matches_single_target(const Graph& g, VertexId s,
   BfsRunner single;
   std::vector<PathStep> tree_path, single_path;
   for (const VertexId v : targets) {
-    const BfsTreeAnswer answer = tree.tree_next(v);
-    const bool tree_found = answer.dist <= max_hops;
+    const std::uint32_t dist = tree.tree_next(v);
+    const bool tree_found = dist <= max_hops;
 
     const bool single_found =
         single.shortest_path_arcs(g, s, v, single_path, faults, max_hops);
@@ -44,22 +47,11 @@ void expect_tree_matches_single_target(const Graph& g, VertexId s,
     if (tree_found) {
       tree.path_arcs_to(v, tree_path);
       EXPECT_EQ(tree_path, single_path) << "s=" << s << " v=" << v;
-      EXPECT_EQ(answer.dist, tree_path.size() - 1);
+      EXPECT_EQ(dist, tree_path.size() - 1);
     }
 
-    // The per-target prefix must be the single-target read set, element for
-    // element (same expansion order, not just the same set).
-    const auto single_expanded = single.last_expanded();
-    const auto tree_expanded = tree.last_visited().first(answer.expanded_prefix);
-    ASSERT_EQ(tree_expanded.size(), single_expanded.size())
-        << "s=" << s << " v=" << v;
-    for (std::size_t i = 0; i < single_expanded.size(); ++i)
-      EXPECT_EQ(tree_expanded[i], single_expanded[i]) << "s=" << s << " v=" << v;
-
     // Idempotent: asking again returns the identical answer.
-    const BfsTreeAnswer again = tree.tree_next(v);
-    EXPECT_EQ(again.dist, answer.dist);
-    EXPECT_EQ(again.expanded_prefix, answer.expanded_prefix);
+    EXPECT_EQ(tree.tree_next(v), dist);
   }
 }
 
@@ -112,10 +104,10 @@ TEST(TerminalTree, DisconnectedTargetsAreUnreachable) {
   const std::vector<VertexId> targets = {2, 4, 5, 3};
   BfsRunner tree;
   tree.tree_begin(g, 0, targets, {}, 10);
-  EXPECT_EQ(tree.tree_next(2).dist, 2u);
-  EXPECT_EQ(tree.tree_next(4).dist, kUnreachableHops);
-  EXPECT_EQ(tree.tree_next(5).dist, kUnreachableHops);
-  EXPECT_EQ(tree.tree_next(3).dist, kUnreachableHops);
+  EXPECT_EQ(tree.tree_next(2), 2u);
+  EXPECT_EQ(tree.tree_next(4), kUnreachableHops);
+  EXPECT_EQ(tree.tree_next(5), kUnreachableHops);
+  EXPECT_EQ(tree.tree_next(3), kUnreachableHops);
 }
 
 TEST(TerminalTree, GraftMatchesDedicatedDistances) {
@@ -134,20 +126,20 @@ TEST(TerminalTree, GraftMatchesDedicatedDistances) {
 
     BfsRunner tree;
     tree.tree_begin(g, s, targets, {}, max_hops);
-    tree.tree_complete();
 
     BfsRunner single;
     int grafts = 0;
     for (const VertexId v : targets) {
-      if (tree.tree_next(v).dist != kUnreachableHops) continue;
+      // The first unreachable answer exhausts the session, as the accepting
+      // answer does in the greedy scan; every graft below finds it so.
+      if (tree.tree_next(v) != kUnreachableHops) continue;
       if (g.has_edge(s, v)) continue;
       // Accept (s, v): append to the graph, graft into the session.
       g.add_edge(s, v);
       tree.tree_insert_source_arc(v, static_cast<EdgeId>(g.m() - 1));
       ++grafts;
       for (const VertexId w : targets) {
-        EXPECT_EQ(tree.tree_next(w).dist,
-                  single.hop_distance(g, s, w, {}, max_hops))
+        EXPECT_EQ(tree.tree_next(w), single.hop_distance(g, s, w, {}, max_hops))
             << "s=" << s << " graft=" << v << " w=" << w;
       }
       if (grafts == 3) break;  // a few cascading grafts per trial suffice
@@ -188,19 +180,14 @@ void expect_batch_matches_decide(const Graph& g, FaultModel model,
                                  const std::vector<VertexId>& targets) {
   LbcSolver batched(model);
   LbcSolver reference(model);
-  std::vector<LbcResult> results(targets.size());
-  std::vector<LbcTrace> traces(targets.size());
-  batched.decide_batch(g, u, targets, t, alpha, results, traces.data());
-
+  batched.begin_batch(g, u, targets, t);
   for (std::size_t j = 0; j < targets.size(); ++j) {
-    LbcTrace ref_trace;
-    const LbcResult ref =
-        reference.decide(g, u, targets[j], t, alpha, &ref_trace);
-    EXPECT_EQ(results[j].yes, ref.yes) << "target " << targets[j];
-    EXPECT_EQ(results[j].sweeps, ref.sweeps) << "target " << targets[j];
-    EXPECT_EQ(results[j].cut.model, ref.cut.model);
-    EXPECT_EQ(results[j].cut.ids, ref.cut.ids) << "target " << targets[j];
-    EXPECT_EQ(traces[j].expanded, ref_trace.expanded) << "target " << targets[j];
+    const LbcResult result = batched.decide_batched(j, alpha);
+    const LbcResult ref = reference.decide(g, u, targets[j], t, alpha);
+    EXPECT_EQ(result.yes, ref.yes) << "target " << targets[j];
+    EXPECT_EQ(result.sweeps, ref.sweeps) << "target " << targets[j];
+    EXPECT_EQ(result.cut.model, ref.cut.model);
+    EXPECT_EQ(result.cut.ids, ref.cut.ids) << "target " << targets[j];
   }
   EXPECT_EQ(batched.total_sweeps(), reference.total_sweeps());
   EXPECT_EQ(batched.trees_built(), 1u);
@@ -250,35 +237,30 @@ TEST(LbcBatch, GraphMutationIsCaught) {
 
 // ------------------------------------------------ batched greedy equivalence
 
+/// The batched greedy scan against the per-edge reference greedy; `seed`
+/// names the generator seed of g in every failure.
 void expect_greedy_batch_equivalence(const Graph& g,
                                      const SpannerParams& params,
-                                     EdgeOrder order) {
-  ModifiedGreedyConfig on;
-  on.order = order;
-  on.record_certificates = true;
-  ModifiedGreedyConfig off = on;
-  off.batch_terminals = false;
-
-  const auto batched = modified_greedy_spanner(g, params, on);
-  const auto unbatched = modified_greedy_spanner(g, params, off);
-  EXPECT_EQ(batched.picked, unbatched.picked);
-  EXPECT_EQ(batched.stats.oracle_calls, unbatched.stats.oracle_calls);
-  EXPECT_EQ(batched.stats.search_sweeps, unbatched.stats.search_sweeps);
-  ASSERT_EQ(batched.certificates.size(), unbatched.certificates.size());
-  for (std::size_t i = 0; i < batched.certificates.size(); ++i)
-    EXPECT_EQ(batched.certificates[i].ids, unbatched.certificates[i].ids)
-        << "certificate " << i;
-  EXPECT_EQ(unbatched.stats.batched_sweeps, 0u);
-  EXPECT_EQ(unbatched.stats.tree_reuse_hits, 0u);
-  EXPECT_GT(batched.stats.batched_sweeps, 0u);
+                                     EdgeOrder order, std::uint64_t seed) {
+  ModifiedGreedyConfig config;
+  config.order = order;
+  const std::string ctx = "seed=" + std::to_string(seed) + " " + g.summary() +
+                          " k=" + std::to_string(params.k) +
+                          " f=" + std::to_string(params.f) + " model=" +
+                          to_string(params.model);
+  const auto batched =
+      testing::expect_matches_reference(g, params, config, ctx);
+  EXPECT_GT(batched.stats.batched_sweeps, 0u) << ctx;
 }
 
 TEST(LbcBatch, GreedyPicksMatchUnbatched) {
   Rng rng(9020);
   for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
     const Graph g = gnp(56, 0.18, rng);
-    expect_greedy_batch_equivalence(
-        g, SpannerParams{.k = 2, .f = 2, .model = model}, EdgeOrder::input);
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      expect_greedy_batch_equivalence(
+          g, SpannerParams{.k = 2, .f = f, .model = model}, EdgeOrder::input,
+          9020);
   }
 }
 
@@ -286,8 +268,11 @@ TEST(LbcBatch, GreedyPicksMatchUnbatchedWeighted) {
   Rng rng(9021);
   const Graph g0 = random_geometric(40, 0.3, rng);
   const Graph g = with_uniform_weights(g0, 0.5, 2.0, rng);
-  expect_greedy_batch_equivalence(g, SpannerParams{.k = 3, .f = 1},
-                                  EdgeOrder::by_weight);
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      expect_greedy_batch_equivalence(
+          g, SpannerParams{.k = 3, .f = f, .model = model},
+          EdgeOrder::by_weight, 9021);
 }
 
 TEST(LbcBatch, GreedyPicksMatchUnbatchedFaultFree) {
@@ -300,13 +285,14 @@ TEST(LbcBatch, GreedyPicksMatchUnbatchedFaultFree) {
   for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
     const Graph g = gnp(64, 0.15, rng);
     expect_greedy_batch_equivalence(
-        g, SpannerParams{.k = 2, .f = 0, .model = model}, EdgeOrder::input);
+        g, SpannerParams{.k = 2, .f = 0, .model = model}, EdgeOrder::input,
+        9023);
   }
   const Graph hubs = rmat(8, 8, rng);
   expect_greedy_batch_equivalence(hubs, SpannerParams{.k = 2, .f = 0},
-                                  EdgeOrder::input);
+                                  EdgeOrder::input, 9023);
   expect_greedy_batch_equivalence(hubs, SpannerParams{.k = 3, .f = 0},
-                                  EdgeOrder::input);
+                                  EdgeOrder::input, 9023);
 
   // The graft path must actually have run.
   ModifiedGreedyConfig config;
@@ -321,7 +307,7 @@ TEST(LbcBatch, GreedyPicksMatchUnbatchedRandomOrder) {
   Rng rng(9022);
   const Graph g = gnp(48, 0.2, rng);
   expect_greedy_batch_equivalence(g, SpannerParams{.k = 2, .f = 1},
-                                  EdgeOrder::random);
+                                  EdgeOrder::random, 9022);
 }
 
 }  // namespace

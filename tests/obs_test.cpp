@@ -345,38 +345,37 @@ TEST(ObsRing, ConcurrentRecordingFromPoolWorkers) {
 // ------------------------------------------------------ engine coverage
 
 TEST(ObsTrace, EngineRunCoversAllCategories) {
-  // The acceptance bar for the instrumentation: one traced multi-worker
-  // build (all knobs on) plus an alpha-0 build and a verifier pass must
-  // produce every category the trace taxonomy promises, on per-worker
-  // tracks.  The engine is driven directly (config.exec.threads is not
-  // clamped to the hardware), so this holds on a 1-core CI runner too.
+  // The acceptance bar for the instrumentation: one traced build (f >= 1,
+  // so masked sweeps run), an alpha-0 build (grafts), and a verification
+  // fanned over 4 pool workers must produce every category the trace
+  // taxonomy promises, on per-worker tracks.  The pool is driven directly
+  // (exec.threads is not clamped to the hardware), so this holds on a
+  // 1-core CI runner too.
   obs::reset_for_testing();
   obs::trace_start(obs::TraceOptions{1u << 16});
 
   Rng rng(112);
   const Graph g = gnp(256, 0.12, rng);
-  ModifiedGreedyConfig config;
-  config.exec.threads = 4;
-  const auto build =
-      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1}, config);
+  const SpannerParams params{.k = 2, .f = 1};
+  const auto build = modified_greedy_spanner(g, params);
   // Guard against vacuous category asserts: the workload must actually
-  // exercise stealing and masked repair.
-  ASSERT_GT(build.stats.stolen_chunks, 0u);
-  ASSERT_GT(build.stats.masked_tree_repairs, 0u);
+  // share terminal trees and run masked sweeps.
+  ASSERT_GT(build.stats.tree_reuse_hits, 0u);
+  ASSERT_GT(build.stats.dedicated_masked_sweeps, 0u);
 
   // alpha == 0: accepts graft into the shared tree instead of re-beginning.
-  const auto graft_build = modified_greedy_spanner(
-      g, SpannerParams{.k = 2, .f = 0}, ModifiedGreedyConfig{});
+  const auto graft_build =
+      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 0});
   ASSERT_GT(graft_build.stats.tree_extends, 0u);
 
+  ExecPolicy exec;
+  exec.threads = 4;
   Rng verify_rng(7);
-  (void)verify_sampled(g, build.spanner, SpannerParams{.k = 2, .f = 1}, 4,
-                       verify_rng);
+  (void)verify_sampled(g, build.spanner, params, 16, verify_rng, exec);
 
   const std::string json = export_trace();
   ASSERT_TRUE(JsonValidator(json).valid());
-  for (const char* cat : {"window", "steal", "tree", "repair", "graft",
-                          "sweep", "pool", "verify"})
+  for (const char* cat : {"tree", "graft", "sweep", "pool", "verify"})
     EXPECT_NE(json.find("\"cat\":\"" + std::string(cat) + "\""),
               std::string::npos)
         << "category missing from trace: " << cat;

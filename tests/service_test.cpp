@@ -166,6 +166,25 @@ TEST(ChurnSpanner, RemovalOfSpannerEdgeRepairsAffectedDecisions) {
                   .ok);
 }
 
+TEST(ChurnSpanner, WeightedDetourOverBudgetDoesNotSpan) {
+  // The decision budget is exactly t * w(e), the bound the verifier checks:
+  // on the path 0-1-2-3 a detour of weight 3 + 5e-10 does not span the new
+  // edge {0,3} of weight 1 at k = 2 (t = 3), so the edge must enter H and
+  // the maintained spanner must verify.
+  Graph path(4, /*weighted=*/true);
+  path.add_edge(0, 1, 1.0);
+  path.add_edge(1, 2, 1.0);
+  path.add_edge(2, 3, 1.0000000005);
+  ChurnConfig config;
+  config.params = SpannerParams{.k = 2, .f = 0};
+  config.rebuild_budget = 0;
+  ChurnSpanner engine(std::move(path), config);
+  EXPECT_TRUE(engine.insert(0, 3, 1.0).in_spanner);
+  Rng rng(1);
+  const OracleReport check = engine.oracle_check(4, rng);
+  EXPECT_TRUE(check.report.ok) << "max stretch " << check.report.max_stretch;
+}
+
 TEST(ChurnSpanner, UpdateArgumentErrors) {
   ChurnConfig config;
   config.params = SpannerParams{.k = 2, .f = 1};

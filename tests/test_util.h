@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/lbc.h"
+#include "core/modified_greedy.h"
 #include "core/options.h"
 #include "fault/verifier.h"
 #include "graph/generators.h"
@@ -61,6 +67,73 @@ inline void expect_ft_spanner_sampled(const Graph& g, const Graph& h,
   EXPECT_TRUE(report.ok) << context << " stretch violated: max_stretch="
                          << report.max_stretch << " at pair ("
                          << report.worst.u << "," << report.worst.v << ")";
+}
+
+/// Test-side reference for the modified greedy: the same scan order as
+/// modified_greedy_spanner, but one plain LbcSolver::decide per edge — no
+/// terminal batching, no graft.  Fills picked, certificates (when
+/// config.record_certificates), oracle_calls and search_sweeps.
+inline SpannerBuild reference_greedy(const Graph& g, const SpannerParams& params,
+                                     const ModifiedGreedyConfig& config = {}) {
+  std::vector<EdgeId> order(g.m());
+  std::iota(order.begin(), order.end(), 0);
+  switch (config.order) {
+    case EdgeOrder::input:
+      break;
+    case EdgeOrder::by_weight:
+      std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+        return g.edge(a).w < g.edge(b).w;
+      });
+      break;
+    case EdgeOrder::by_weight_desc:
+      std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+        return g.edge(a).w > g.edge(b).w;
+      });
+      break;
+    case EdgeOrder::random: {
+      Rng rng(config.shuffle_seed);
+      std::shuffle(order.begin(), order.end(), rng);
+      break;
+    }
+  }
+  const std::uint32_t t =
+      config.hop_budget != 0 ? config.hop_budget : params.stretch();
+  SpannerBuild build;
+  build.spanner = Graph(g.n(), g.weighted());
+  LbcSolver lbc(params.model);
+  for (const EdgeId id : order) {
+    const auto& e = g.edge(id);
+    LbcResult decision = lbc.decide(build.spanner, e.u, e.v, t, params.f);
+    ++build.stats.oracle_calls;
+    if (!decision.yes) continue;
+    build.spanner.add_edge(e.u, e.v, e.w);
+    build.picked.push_back(id);
+    if (config.record_certificates)
+      build.certificates.push_back(std::move(decision.cut));
+  }
+  build.stats.search_sweeps = lbc.total_sweeps();
+  return build;
+}
+
+/// Runs modified_greedy_spanner and asserts it matches reference_greedy in
+/// picks, oracle calls, sweep counts, and certificates.  `context` (which
+/// should name the seed) prefixes every failure.  Returns the engine build.
+inline SpannerBuild expect_matches_reference(const Graph& g,
+                                             const SpannerParams& params,
+                                             ModifiedGreedyConfig config,
+                                             const std::string& context) {
+  config.record_certificates = true;
+  const SpannerBuild ref = reference_greedy(g, params, config);
+  SpannerBuild build = modified_greedy_spanner(g, params, config);
+  EXPECT_EQ(build.picked, ref.picked) << context;
+  EXPECT_EQ(build.stats.oracle_calls, ref.stats.oracle_calls) << context;
+  EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps) << context;
+  EXPECT_EQ(build.certificates.size(), ref.certificates.size()) << context;
+  for (std::size_t i = 0;
+       i < std::min(build.certificates.size(), ref.certificates.size()); ++i)
+    EXPECT_EQ(build.certificates[i].ids, ref.certificates[i].ids)
+        << context << " certificate=" << i;
+  return build;
 }
 
 }  // namespace ftspan::testing

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/check.h"
 #include "util/cli.h"
@@ -211,6 +213,20 @@ TEST(Cli, GetUintRejectsGarbage) {
   Cli cli(5, argv);
   EXPECT_THROW((void)cli.get_uint("n", 0), std::invalid_argument);
   EXPECT_THROW((void)cli.get_uint("m", 0), std::invalid_argument);
+}
+
+TEST(Cli, UnknownFlagNamesTheFirstFlagOutsideTheKnownSet) {
+  // A misspelled flag must be reported, not silently ignored: ftspan_cli
+  // turns this answer into exit code 2 naming the flag.
+  const char* argv[] = {"prog", "--in",    "g", "--modle",
+                        "edge", "--treads", "4"};
+  const Cli cli(7, argv);
+  constexpr std::string_view kKnown[] = {"in", "model", "threads"};
+  EXPECT_EQ(cli.unknown_flag(kKnown), std::optional<std::string>("modle"));
+  constexpr std::string_view kSpelledAsGiven[] = {"in", "modle", "treads"};
+  EXPECT_EQ(cli.unknown_flag(kSpelledAsGiven), std::nullopt);
+  const char* bare[] = {"prog"};
+  EXPECT_EQ(Cli(1, bare).unknown_flag({}), std::nullopt);
 }
 
 // ----------------------------------------------------------------- check

@@ -64,25 +64,16 @@ TEST(BdpvwVft, GoldenVertexK2F2AcrossKnobs) {
   const Graph g = gnp(48, 0.25, rng);
   const SpannerParams params{.k = 2, .f = 2, .model = FaultModel::vertex};
   for (const bool filter : {true, false}) {
-    for (const bool batch : {true, false}) {
-      for (const bool masked : {true, false}) {
-        BdpvwConfig config;
-        config.lbc_filter = filter;
-        config.batch_terminals = batch;
-        config.masked_tree = masked;
-        const auto build = bdpvw_vft_spanner(g, params, config);
-        EXPECT_EQ(build.picked, kBdpvwVertexK2F2)
-            << "filter=" << filter << " batch=" << batch
-            << " masked=" << masked;
-        if (!filter) {
-          // Unfiltered = pure exact scan: every decision is a search.
-          EXPECT_EQ(build.stats.exact_searches, build.stats.oracle_calls);
-        } else {
-          // The LBC prefilter must settle most decisions without a search.
-          EXPECT_LT(build.stats.exact_searches, build.stats.oracle_calls / 2)
-              << "batch=" << batch << " masked=" << masked;
-        }
-      }
+    BdpvwConfig config;
+    config.lbc_filter = filter;
+    const auto build = bdpvw_vft_spanner(g, params, config);
+    EXPECT_EQ(build.picked, kBdpvwVertexK2F2) << "filter=" << filter;
+    if (!filter) {
+      // Unfiltered = pure exact scan: every decision is a search.
+      EXPECT_EQ(build.stats.exact_searches, build.stats.oracle_calls);
+    } else {
+      // The LBC prefilter must settle most decisions without a search.
+      EXPECT_LT(build.stats.exact_searches, build.stats.oracle_calls / 2);
     }
   }
   const auto build = bdpvw_vft_spanner(g, params);
@@ -180,25 +171,6 @@ TEST(AlphaBeta, GoldenWeightedBothModels) {
         verify_sampled(g, build.spanner, params, /*trials=*/64, verify_rng);
     EXPECT_TRUE(report.ok)
         << to_string(model) << " max_stretch " << report.max_stretch;
-  }
-}
-
-TEST(AlphaBeta, BitIdenticalAcrossThreads) {
-  // Unweighted inputs route through the full modified-greedy engine; the
-  // budget override must not disturb the parallel commit protocol.
-  const Graph g = testing::connected_gnp(48, 0.2, 7505);
-  const SpannerParams params{.k = 2, .f = 2, .model = FaultModel::vertex};
-  AlphaBetaConfig config;
-  config.alpha = 2.0;
-  config.beta = 1.0;
-  const auto sequential = alpha_beta_spanner(g, params, config);
-  for (const std::uint32_t threads : {1u, 2u, 8u}) {
-    AlphaBetaConfig threaded = config;
-    threaded.engine.exec.threads = threads;
-    const auto build = alpha_beta_spanner(g, params, threaded);
-    EXPECT_EQ(build.picked, sequential.picked) << "threads=" << threads;
-    EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps)
-        << "threads=" << threads;
   }
 }
 

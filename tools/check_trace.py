@@ -9,18 +9,18 @@ ftspan_cli) is structurally sound before it is uploaded as an artifact:
    (no orphan E, no unclosed B) and timestamps are monotone within a track,
    so Perfetto's importer will accept every track;
 3. the trace actually covers the instrumented subsystems: at least
-   --min-categories distinct categories (default 6 — window, steal, tree,
-   repair, graft, sweep is the engine taxonomy) and at least --min-tracks
-   named thread tracks;
+   --min-categories distinct categories (default 6) and at least
+   --min-tracks named thread tracks;
 4. thread_name metadata is present for every tid that emitted events.
 
 Usage:
   check_trace.py TRACE.json [--min-categories 6] [--min-tracks 2]
                  [--require-category CAT ...]
 
-Exits non-zero with a per-failure report.  A traced single-thread run emits
-no window/steal events, so the CI lane that asserts the full taxonomy runs
-the bench with threads > 1; local smoke can pass --min-categories 3.
+Exits non-zero with a per-failure report.  A traced build emits the tree,
+graft and sweep categories on the main track; a verification with
+--threads N > 1 adds pool and verify spans on N tracks.  The CI lanes pass
+--min-categories and --require-category to match the run they trace.
 """
 
 import argparse

@@ -8,13 +8,7 @@
 //                     list here never goes stale; see docs/ALGORITHMS.md)
 //                     [--alpha 0 --beta 0]   (alpha_beta only: the budgeted
 //                     test alpha*w+beta; 0/0 derives alpha=2k-1, beta=0)
-//                     [--threads 1] [--batch 1] [--masked 1] [--overlap 1]
-//                     [--steal 1]   (oracle engines; --threads 0 = all
-//                     hardware threads; --batch 0 disables terminal-batched
-//                     LBC, --masked 0 disables masked-tree repair,
-//                     --overlap 0 disables the pipelined commit/evaluate
-//                     windows, --steal 0 disables terminal-batch work
-//                     stealing — results are identical either way)
+//                     [--seed 1]   (randomized constructions)
 //                     [--trace out.trace.json] [--metrics out.metrics.json]
 //                     (record engine spans to Chrome trace JSON — load it at
 //                     https://ui.perfetto.dev — and/or dump the merged
@@ -40,6 +34,9 @@
 //                     vertex coordinates in the ftspan-points format, for
 //                     verify --scenario)
 //
+// A flag the subcommand does not take (a typo, or a removed engine knob)
+// fails with exit code 2 and names the flag instead of being ignored.
+//
 // Graphs use the ftspan edge-list format (see src/graph/io.h).
 
 #include <unistd.h>
@@ -47,7 +44,9 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "analysis/girth.h"
 #include "fault/scenario.h"
@@ -116,8 +115,7 @@ int usage() {
                " [--algo " +
                    spanner_algo_names() +
                    "]"
-                   " [--alpha 0] [--beta 0] [--seed 1] [--threads 1]"
-                   " [--batch 1] [--masked 1] [--overlap 1] [--steal 1]"
+                   " [--alpha 0] [--beta 0] [--seed 1]"
                    " [--trace T.json] [--metrics M.json]\n"
                "  verify --in G --spanner H [--k 2] [--f 1]"
                " [--model vertex|edge] [--trials 200] [--exhaustive]"
@@ -131,7 +129,8 @@ int usage() {
                "  serve  --in G [--k 2] [--f 1] [--model vertex|edge]"
                " [--port 0] [--port-file P] [--uds PATH]"
                " [--rebuild-budget 4096] [--publish-every 8]"
-               " [--verify-trials 64] [--seed 1]\n"
+               " [--verify-trials 64] [--seed 1]"
+               " [--trace T.json] [--metrics M.json]\n"
                "  client {--port P | --port-file P | --uds PATH}"
                " [--cmd \"insert 0 1\"]   (no --cmd: one command per stdin"
                " line; replies on stdout)\n";
@@ -170,14 +169,6 @@ int cmd_build(const Cli& cli) {
   options.seed = cli.get_uint("seed", 1);
   options.alpha = cli.get_double("alpha", 0.0);
   options.beta = cli.get_double("beta", 0.0);
-  const std::uint64_t threads = cli.get_uint("threads", 1);
-  if (threads > 4096)
-    throw std::invalid_argument("--threads must be in [0, 4096] (0 = auto)");
-  options.engine.exec.threads = static_cast<std::uint32_t>(threads);
-  options.engine.exec.overlap = cli.get_int("overlap", 1) != 0;
-  options.engine.exec.steal = cli.get_int("steal", 1) != 0;
-  options.engine.batch_terminals = cli.get_int("batch", 1) != 0;
-  options.engine.masked_tree = cli.get_int("masked", 1) != 0;
 
   const ObsCliFlags obs_flags = ObsCliFlags::from(cli);
   obs_flags.start();
@@ -189,30 +180,13 @@ int cmd_build(const Cli& cli) {
             << " s";
   if (build.stats.oracle_calls > 0)
     std::cout << ", " << build.stats.oracle_calls << " decisions";
-  if (build.stats.threads > 1)
-    std::cout << ", " << build.stats.threads << " threads";
   if (build.stats.exact_searches > 0)
     std::cout << ", " << build.stats.exact_searches
               << " exact fault-set searches ("
               << build.stats.exact_search_nodes << " nodes)";
-  if (build.stats.spec_evaluated > 0)
-    std::cout << ", speculation hit rate "
-              << (100.0 * static_cast<double>(build.stats.oracle_calls) /
-                  static_cast<double>(build.stats.spec_evaluated))
-              << "%";
-  if (build.stats.overlap_windows > 0)
-    std::cout << ", " << build.stats.overlap_windows
-              << " windows evaluated during commits";
-  if (build.stats.stolen_chunks > 0)
-    std::cout << ", " << build.stats.stolen_chunks
-              << " chunks split off dominant batches";
   if (build.stats.batched_sweeps > 0)
     std::cout << ", " << build.stats.tree_reuse_hits
               << " BFS runs saved by terminal batching";
-  if (build.stats.masked_reuse_hits > 0)
-    std::cout << ", " << build.stats.masked_reuse_hits
-              << " masked BFS runs served by tree repair ("
-              << build.stats.masked_tree_repairs << " repairs)";
   std::cout << "\n";
   const Graph h = std::move(build.spanner);
 
@@ -285,9 +259,12 @@ int cmd_verify(const Cli& cli) {
             << (report.ok ? "OK: spanner property holds\n"
                           : "VIOLATION: see worst pair below\n");
   if (!report.ok) {
+    // The verifier stops the H search at t * d_G, so a violating pair's d_H
+    // is known only to exceed that bound (H may still connect the pair).
     std::cout << "worst pair (" << report.worst.u << "," << report.worst.v
-              << ") d_G=" << report.worst.d_g << " d_H=" << report.worst.d_h
-              << " under " << report.worst.faults.ids.size() << " faults\n";
+              << ") d_G=" << report.worst.d_g << " d_H > "
+              << params.stretch() * report.worst.d_g << " under "
+              << report.worst.faults.ids.size() << " faults\n";
   }
   const bool obs_ok = obs_flags.finish();
   return report.ok && obs_ok ? 0 : 1;
@@ -438,20 +415,54 @@ int cmd_client(const Cli& cli) {
   return failures == 0 ? 0 : 1;
 }
 
+/// One subcommand: its handler and the flags it takes.
+struct Command {
+  std::string_view name;
+  int (*run)(const Cli&);
+  std::span<const std::string_view> flags;
+};
+
+constexpr std::string_view kBuildFlags[] = {
+    "in", "out", "k", "f", "model", "algo", "alpha", "beta", "seed",
+    "trace", "metrics"};
+constexpr std::string_view kVerifyFlags[] = {
+    "in", "spanner", "k", "f", "model", "trials", "exhaustive", "seed",
+    "threads", "scenario", "groups", "radius", "restarts", "coords",
+    "trace", "metrics"};
+constexpr std::string_view kInfoFlags[] = {"in"};
+constexpr std::string_view kGenFlags[] = {
+    "out", "family", "n", "p", "seed", "weighted", "scale", "edgefactor",
+    "coords"};
+constexpr std::string_view kServeFlags[] = {
+    "in", "k", "f", "model", "port", "port-file", "uds", "rebuild-budget",
+    "publish-every", "verify-trials", "seed", "trace", "metrics"};
+constexpr std::string_view kClientFlags[] = {"port", "port-file", "uds",
+                                             "cmd"};
+
+constexpr Command kCommands[] = {
+    {"build", &cmd_build, kBuildFlags},    {"verify", &cmd_verify, kVerifyFlags},
+    {"info", &cmd_info, kInfoFlags},       {"gen", &cmd_gen, kGenFlags},
+    {"serve", &cmd_serve, kServeFlags},    {"client", &cmd_client, kClientFlags},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string_view name = argv[1];
+  const Command* command = nullptr;
+  for (const auto& c : kCommands)
+    if (c.name == name) command = &c;
+  if (command == nullptr) return usage();
   try {
     const Cli cli(argc - 1, argv + 1);
-    if (command == "build") return cmd_build(cli);
-    if (command == "verify") return cmd_verify(cli);
-    if (command == "info") return cmd_info(cli);
-    if (command == "gen") return cmd_gen(cli);
-    if (command == "serve") return cmd_serve(cli);
-    if (command == "client") return cmd_client(cli);
-    return usage();
+    if (cli.has("help")) return usage();
+    if (const auto flag = cli.unknown_flag(command->flags)) {
+      std::cerr << "error: " << name << " does not take --" << *flag
+                << " (see ftspan_cli " << name << " --help)\n";
+      return 2;
+    }
+    return command->run(cli);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
