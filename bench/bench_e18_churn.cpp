@@ -4,7 +4,7 @@
 // One updater thread streams random edge inserts/removals through a
 // ChurnSpanner in pure incremental mode (rebuild_budget = 0) while reader
 // threads answer spanner distance queries off the published epoch
-// snapshots, wait-free.  The bench reports:
+// snapshots, never waiting on the updater's work.  The bench reports:
 //   * sustained update throughput (updates/s over the apply time alone),
 //   * query latency p50/p99 in microseconds, measured per query on the
 //     reader threads while the updater runs,
@@ -191,7 +191,8 @@ int main(int argc, char** argv) {
   bench::banner("E18 churn",
                 "incremental maintenance keeps the f-FT spanner valid under "
                 "edge churn at a per-update cost orders of magnitude below a "
-                "from-scratch rebuild, with wait-free snapshot reads",
+                "from-scratch rebuild, with snapshot reads that never wait on "
+                "an update",
                 seed);
   obs.start();
 
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
   std::cout << "initial spanner: " << engine.spanner_m() << " / "
             << engine.live_m() << " edges in " << r.build_seconds << "s\n";
 
-  // Readers: wait-free snapshot distance queries on the maintained spanner
+  // Readers: snapshot distance queries on the maintained spanner
   // (hop BFS — the mesh is unweighted), each timed individually.
   std::atomic<std::size_t> quota{queries};
   std::vector<std::vector<double>> latencies(readers);

@@ -18,6 +18,7 @@ const obs::Counter c_repair_decisions("service.repair.decisions");
 const obs::Counter c_repair_promotions("service.repair.promotions");
 const obs::Counter c_rebuilds("service.rebuilds");
 const obs::Counter c_publishes("service.publishes");
+const obs::Counter c_graph_copies("service.graph_copies");
 
 /// Slack added to the weighted repair-candidate filter only.  The filter
 /// selects a superset of the edges whose certificate may have used the
@@ -31,6 +32,7 @@ constexpr Weight kBudgetEps = 1e-9;
 
 ChurnSpanner::ChurnSpanner(Graph initial, ChurnConfig config)
     : config_(config),
+      n_(initial.n()),
       bfs_(initial.n()),
       dij_(initial.n()),
       vcut_(initial.n()) {
@@ -52,27 +54,28 @@ bool ChurnSpanner::decide_spanned(VertexId u, VertexId v, Weight w) {
   // Dijkstra (budget t * w(e)) instead of t-hop BFS: churn order is not
   // weight order, so the unweighted-view shortcut of the static greedy
   // (Theorem 10) is unsound here, while the weighted certificate composes
-  // unconditionally.  The edge being decided is outside H (blocked_), and
-  // G has no parallel edges, so no sweep can find the one-hop u-v path.
+  // unconditionally.  The sweeps search h_, so edge cuts are H ids.  The
+  // edge being decided is outside H (masked or absent in h_), and G has no
+  // parallel edges, so no sweep can find the one-hop u-v path.
   const std::uint32_t t = config_.params.stretch();
-  const FaultView view{vcut_.bytes(), blocked_};
+  const FaultView view{vcut_.bytes(), h_out_};
   const LbcSweeps outcome = lbc_sweeps(
       config_.params.model, config_.params.f, path_,
       [&](std::uint32_t, std::vector<PathStep>& path) {
-        return g_.weighted()
-                   ? dij_.shortest_path_arcs(g_, u, v, path, view,
+        return h_.weighted()
+                   ? dij_.shortest_path_arcs(h_, u, v, path, view,
                                              static_cast<Weight>(t) * w)
-                   : bfs_.shortest_path_arcs(g_, u, v, path, view, t);
+                   : bfs_.shortest_path_arcs(h_, u, v, path, view, t);
       },
       [&](VertexId x) { vcut_.set(x); },
       [&](EdgeId e) {
-        if (blocked_[e] == 0) {
-          blocked_[e] = 1;
+        if (h_out_[e] == 0) {
+          h_out_[e] = 1;
           ecut_touched_.push_back(e);
         }
       });
   vcut_.reset_touched();
-  for (const auto e : ecut_touched_) blocked_[e] = 0;
+  for (const auto e : ecut_touched_) h_out_[e] = 0;
   ecut_touched_.clear();
   return !outcome.yes;
 }
@@ -86,13 +89,13 @@ UpdateResult ChurnSpanner::insert(VertexId u, VertexId v, Weight w) {
     FTSPAN_REQUIRE(g_.edge(id).w == w,
                    "resurrected edge must keep its original weight");
     dead_[id] = 0;
-    // blocked_ stays 1: a resurrected edge re-enters outside H and the
-    // decision below may promote it.
+    // A resurrected edge re-enters outside H (blocked_ stays 1, its H id,
+    // if any, stays masked) and the decision below may promote it.
   } else {
     id = g_.add_edge(u, v, w);
+    shared_g_.reset();  // the next publish copies G
     dead_.push_back(0);
     blocked_.push_back(1);
-    in_h_.push_back(0);
   }
   ++live_m_;
   max_live_w_ = std::max(max_live_w_, w);
@@ -100,13 +103,11 @@ UpdateResult ChurnSpanner::insert(VertexId u, VertexId v, Weight w) {
   c_inserts.add();
 
   if (!decide_spanned(u, v, w)) {
-    in_h_[id] = 1;
-    blocked_[id] = 0;
-    ++spanner_m_;
+    join_h(id);
     stats_.spanner_inserts += 1;
     c_spanner_inserts.add();
   }
-  UpdateResult result{id, in_h_[id] != 0, 0, 0};
+  UpdateResult result{id, in_h(id), 0, 0};
   note_update();
   result.epoch = snapshot()->epoch;
   return result;
@@ -126,16 +127,14 @@ UpdateResult ChurnSpanner::remove(VertexId u, VertexId v) {
   c_removals.add();
 
   UpdateResult result{id, false, 0, 0};
-  if (in_h_[id] != 0) {
-    in_h_[id] = 0;
-    blocked_[id] = 1;
-    --spanner_m_;
+  if (in_h(id)) {
+    leave_h(id);
     stats_.spanner_removals += 1;
     result.repicked = repair_after_spanner_removal(u, v, w);
   }
   // A removed non-spanner edge needs no repair: it is already blocked_
-  // (blocked = dead OR not-in-H), H is untouched, and no other edge's
-  // certificate references it — certificates live entirely inside H.
+  // (not in H), H is untouched, and no other edge's certificate
+  // references it — certificates live entirely inside H.
   note_update();
   result.epoch = snapshot()->epoch;
   return result;
@@ -145,33 +144,36 @@ std::size_t ChurnSpanner::repair_after_spanner_removal(VertexId u, VertexId v,
                                                        Weight w) {
   obs::ScopedSpan span("service", "churn.repair");
   const std::uint32_t t = config_.params.stretch();
-  const FaultView h_view{{}, blocked_};
+  const Graph& g = g_;
+  const FaultView h_view{{}, h_out_};
 
   // Distance waves from the removed edge's endpoints in the post-removal
-  // spanner H'.  Any live non-H edge {x,y} whose certificate routed a path
-  // through the removed edge satisfies (up to u/v symmetry)
+  // spanner H' (searched on h_).  Any live non-H edge {x,y} whose
+  // certificate routed a path through the removed edge satisfies (up to u/v
+  // symmetry)
   //   dist_{H'}(x,u) + w(e) + dist_{H'}(v,y) <= budget(x,y),
   // because the path's segments around e avoid e and hence survive in H' —
-  // the wave distances lower-bound them.  Everything failing the test
-  // provably kept all f+1 disjoint detours and is never re-examined.
+  // the wave distances lower-bound them.  The candidate scan reads G's rows.
+  // Everything failing the test provably kept all f+1 disjoint detours and
+  // is never re-examined.
   candidates_.clear();
   std::size_t ball = 0;
-  if (g_.weighted()) {
+  if (g.weighted()) {
     const Weight budget = static_cast<Weight>(t) * max_live_w_ + kBudgetEps;
-    dij_.all_distances(g_, u, du_w_, h_view, budget);
-    dij_.all_distances(g_, v, dv_w_, h_view, budget);
+    dij_.all_distances(h_, u, du_w_, h_view, budget);
+    dij_.all_distances(h_, v, dv_w_, h_view, budget);
     const auto seg = [&](VertexId x, VertexId y) {
       return std::min(du_w_[x] + dv_w_[y], du_w_[y] + dv_w_[x]);
     };
-    for (VertexId x = 0; x < g_.n(); ++x) {
+    for (VertexId x = 0; x < g.n(); ++x) {
       if (du_w_[x] == kUnreachableWeight && dv_w_[x] == kUnreachableWeight) {
         continue;
       }
       ++ball;
       if (du_w_[x] == kUnreachableWeight) continue;
-      for (const auto& arc : g_.neighbors(x)) {
+      for (const auto& arc : g.neighbors(x)) {
         const EdgeId e = arc.edge;
-        if (dead_[e] != 0 || in_h_[e] != 0 || eseen_.test(e)) continue;
+        if (dead_[e] != 0 || in_h(e) || eseen_.test(e)) continue;
         if (seg(x, arc.to) + w <=
             static_cast<Weight>(t) * arc.w + kBudgetEps) {
           eseen_.set(e);
@@ -182,8 +184,8 @@ std::size_t ChurnSpanner::repair_after_spanner_removal(VertexId u, VertexId v,
   } else {
     // Hop budget for edge {x,y} is t, so segments reach at most t-1 hops.
     const std::uint32_t reach = t > 0 ? t - 1 : 0;
-    bfs_.all_hops(g_, u, du_hops_, h_view, reach);
-    bfs_.all_hops(g_, v, dv_hops_, h_view, reach);
+    bfs_.all_hops(h_, u, du_hops_, h_view, reach);
+    bfs_.all_hops(h_, v, dv_hops_, h_view, reach);
     const auto seg = [&](VertexId x, VertexId y) {
       const auto a = du_hops_[x] == kUnreachableHops || dv_hops_[y] == kUnreachableHops
                          ? kUnreachableHops
@@ -193,15 +195,15 @@ std::size_t ChurnSpanner::repair_after_spanner_removal(VertexId u, VertexId v,
                          : du_hops_[y] + dv_hops_[x];
       return std::min(a, b);
     };
-    for (VertexId x = 0; x < g_.n(); ++x) {
+    for (VertexId x = 0; x < g.n(); ++x) {
       if (du_hops_[x] == kUnreachableHops && dv_hops_[x] == kUnreachableHops) {
         continue;
       }
       ++ball;
       if (du_hops_[x] == kUnreachableHops) continue;
-      for (const auto& arc : g_.neighbors(x)) {
+      for (const auto& arc : g.neighbors(x)) {
         const EdgeId e = arc.edge;
-        if (dead_[e] != 0 || in_h_[e] != 0 || eseen_.test(e)) continue;
+        if (dead_[e] != 0 || in_h(e) || eseen_.test(e)) continue;
         if (seg(x, arc.to) != kUnreachableHops && seg(x, arc.to) + 1 <= t) {
           eseen_.set(e);
           candidates_.push_back(e);
@@ -217,13 +219,11 @@ std::size_t ChurnSpanner::repair_after_spanner_removal(VertexId u, VertexId v,
   // (the f+1 disjoint paths are still there), so any re-pick order is sound.
   std::size_t promoted = 0;
   for (const auto e : candidates_) {
-    const Edge& edge = g_.edge(e);
+    const Edge& edge = g.edge(e);
     stats_.repair_decisions += 1;
     c_repair_decisions.add();
     if (!decide_spanned(edge.u, edge.v, edge.w)) {
-      in_h_[e] = 1;
-      blocked_[e] = 0;
-      ++spanner_m_;
+      join_h(e);
       ++promoted;
       stats_.repair_promotions += 1;
       c_repair_promotions.add();
@@ -239,21 +239,49 @@ void ChurnSpanner::rebuild() {
   adopt_build(std::move(live), std::move(build));
 }
 
-void ChurnSpanner::adopt_build(Graph live, SpannerBuild build) {
-  g_ = std::move(live);
-  dead_.assign(g_.m(), 0);
-  in_h_.assign(g_.m(), 0);
-  blocked_.assign(g_.m(), 1);
-  for (const auto id : build.picked) {
-    in_h_[id] = 1;
-    blocked_[id] = 0;
+void ChurnSpanner::join_h(EdgeId id) {
+  blocked_[id] = 0;
+  ++spanner_m_;
+  const Edge& e = g_.edge(id);
+  if (const auto h_id = h_.find_edge(e.u, e.v)) {
+    h_out_[*h_id] = 0;
+  } else {
+    h_.add_edge(e.u, e.v, e.w);
+    h_out_.push_back(0);
   }
-  live_m_ = g_.m();
+}
+
+void ChurnSpanner::leave_h(EdgeId id) {
+  blocked_[id] = 1;
+  --spanner_m_;
+  const Edge& e = g_.edge(id);
+  h_out_[*h_.find_edge(e.u, e.v)] = 1;
+}
+
+void ChurnSpanner::adopt_build(Graph live, SpannerBuild build) {
+  build.spanner = Graph{};  // only the picks are used: free it before h_ fills
+  // The updater copies the compacted mesh into its own buffers, whose
+  // capacity earlier appends already grew, and readers get the compacted
+  // mesh itself: a rebuild allocates no new G, and its publish copies none.
+  g_ = live;
+  shared_g_ = std::make_shared<const Graph>(std::move(live));
+  const Graph& g = g_;
+  dead_.assign(g.m(), 0);
+  blocked_.assign(g.m(), 1);
+  for (const auto id : build.picked) blocked_[id] = 0;
+  live_m_ = g.m();
   spanner_m_ = build.picked.size();
+  // h_ lists the picks in G-id order, so each of its rows scans in the
+  // order the same row of G does, and a sweep on h_ finds the path the same
+  // sweep on G under the non-H mask would.  Copied, not moved, into h_ for
+  // the same reason as G.
+  const Graph picked = spanner_graph();
+  h_ = picked;
+  h_out_.assign(h_.m(), 0);
   max_live_w_ = 1.0;
-  for (const auto& e : g_.edges()) max_live_w_ = std::max(max_live_w_, e.w);
-  vcut_.ensure_universe(g_.n());
-  eseen_.ensure_universe(g_.m());
+  for (const auto& e : g.edges()) max_live_w_ = std::max(max_live_w_, e.w);
+  vcut_.ensure_universe(g.n());
+  eseen_.ensure_universe(g.m());
   stats_.rebuilds += 1;
   c_rebuilds.add();
   updates_since_rebuild_ = 0;
@@ -281,17 +309,28 @@ void ChurnSpanner::publish_locked() {
   ++epoch_;
   stats_.publishes += 1;
   c_publishes.add();
-  auto snap = std::make_shared<ChurnSnapshot>();
+  // Epochs share one copy of G until the updater appends to it; then the
+  // next publish takes a fresh one.  G itself stays private to the updater,
+  // so appends never write a Graph a reader holds.
+  if (!shared_g_) {
+    shared_g_ = std::make_shared<const Graph>(g_);
+    c_graph_copies.add();
+  }
+  auto snap = std::make_shared<ChurnSnapshot>(shared_g_);
   snap->epoch = epoch_;
-  snap->graph = g_;
   snap->dead = dead_;
   snap->blocked = blocked_;
   snap->params = config_.params;
   snap->live_m = live_m_;
   snap->spanner_m = spanner_m_;
   snap->stats = stats_;
-  snap_.store(std::move(snap), std::memory_order_release);
+  std::shared_ptr<const ChurnSnapshot> previous = std::move(snap);
+  {
+    const std::lock_guard<std::mutex> lock(snap_mu_);
+    snap_.swap(previous);
+  }
   unpublished_ = 0;
+  // `previous` is released here, outside the lock.
 }
 
 Graph ChurnSpanner::live_graph() const {
@@ -307,7 +346,7 @@ Graph ChurnSpanner::spanner_graph() const {
   std::vector<Edge> edges;
   edges.reserve(spanner_m_);
   for (EdgeId e = 0; e < g_.m(); ++e) {
-    if (in_h_[e] != 0) edges.push_back(g_.edge(e));
+    if (in_h(e)) edges.push_back(g_.edge(e));
   }
   return Graph::from_edges(g_.n(), edges, g_.weighted());
 }

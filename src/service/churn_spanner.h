@@ -39,17 +39,35 @@
 // build) bounds how far the maintained H may drift before the service
 // re-anchors it.
 //
-// Readers never block the updater: queries run against an immutable Snapshot
-// published epoch by epoch (every publish_every updates, or on demand); the
-// updater mutates only its private state and swaps one atomic shared_ptr.
+// The updater searches H itself, as Algorithm 1 runs Algorithm 2 on the
+// spanner built so far: it keeps H as its own append-only graph (edges that
+// leave H are masked there, edges that rejoin it are unmasked), and every
+// decision sweep and repair wave runs on that graph instead of on G with
+// the non-H arcs masked.  Only readers search G; the updater reads it for
+// edge lookups and the repair candidate scan.
+//
+// Readers never wait on the updater's work: queries run against an immutable
+// Snapshot published epoch by epoch (every publish_every updates, or on
+// demand); the updater mutates only its private state and swaps one
+// shared_ptr under a lock that is held for nothing but that swap or a
+// reader's pointer copy.
+//
+// Epochs share G instead of copying it each time: a publish copies G only
+// when the updater has appended an edge id since the last copy (an insert
+// of a pair G has not held since the last rebuild), and a rebuild hands its
+// compacted mesh to readers without a copy.  Otherwise a publish copies only
+// the two edge masks.  The updater's own G is never shared, so appends never
+// write a Graph a reader holds.
+//
 // Updater methods themselves must be externally serialized (ftspand holds
-// one update mutex); snapshot()/readers are wait-free on any thread.
+// one update mutex); snapshot() and readers are safe on any thread.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/modified_greedy.h"
@@ -92,12 +110,19 @@ struct ChurnStats {
 };
 
 /// Immutable epoch state answering reader queries.  `graph` holds every edge
-/// the engine has ever seen (dead ones included — Graph is append-only);
-/// the byte masks carve the live mesh and the spanner out of it as fault
-/// views, the representation every search runner consumes natively.
+/// the engine has seen since its last rebuild (dead ones included — Graph is
+/// append-only); the byte masks carve the live mesh and the spanner out of
+/// it as fault views, the representation every search runner consumes
+/// natively.  The Graph is shared, not copied: epochs published with no
+/// append between them hold the same object, and nothing writes it after
+/// publication (the updater appends to its own copy of G).
 struct ChurnSnapshot {
+  explicit ChurnSnapshot(std::shared_ptr<const Graph> mesh)
+      : graph_owner(std::move(mesh)), graph(*graph_owner) {}
+
   std::uint64_t epoch = 0;
-  Graph graph;
+  std::shared_ptr<const Graph> graph_owner;  ///< keeps `graph` alive
+  const Graph& graph;                        ///< the mesh G of this epoch
   std::vector<std::uint8_t> dead;     ///< 1 = edge removed from the mesh
   std::vector<std::uint8_t> blocked;  ///< 1 = dead or not in the spanner
   SpannerParams params;
@@ -174,43 +199,68 @@ class ChurnSpanner {
                             const ExecPolicy& exec = {},
                             bool compare_oracle = false);
 
+  /// The graph decisions and repair waves search: H under its own edge ids,
+  /// with search_view() masking the ids that have left H.  Its unmasked
+  /// edges are exactly spanner_graph()'s.
+  [[nodiscard]] const Graph& search_graph() const noexcept { return h_; }
+  [[nodiscard]] FaultView search_view() const noexcept {
+    return FaultView{{}, h_out_};
+  }
+
   [[nodiscard]] const ChurnStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ChurnConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t n() const noexcept { return g_.n(); }
+  /// Vertex count: fixed at construction, so any thread may read it.
+  [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t live_m() const noexcept { return live_m_; }
   [[nodiscard]] std::size_t spanner_m() const noexcept { return spanner_m_; }
   [[nodiscard]] std::uint64_t updates_since_rebuild() const noexcept {
     return updates_since_rebuild_;
   }
 
-  // --- reader API (any thread, wait-free) ---------------------------------
+  // --- reader API (any thread) -------------------------------------------
 
   /// The most recently published epoch state.  Never null.
   [[nodiscard]] std::shared_ptr<const ChurnSnapshot> snapshot() const {
-    return snap_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(snap_mu_);
+    return snap_;
   }
 
  private:
-  /// The dynamic greedy decision for live edge {u,v}: true when H already
-  /// holds f+1 disjoint budget-bounded detours (the edge is spanned), false
-  /// when a <= f cut separates them (the edge must join H).  The candidate
-  /// edge itself must be masked (blocked) when this runs.
+  /// The dynamic greedy decision for live edge {u,v}, searched on h_: true
+  /// when H already holds f+1 disjoint budget-bounded detours (the edge is
+  /// spanned), false when a <= f cut separates them (the edge must join H).
+  /// The candidate edge itself must be outside H when this runs.
   bool decide_spanned(VertexId u, VertexId v, Weight w);
 
-  /// Removal repair for spanner edge {u,v} of weight w (already removed from
-  /// the masks): re-picks every decision the removal could have broken.
+  /// Removal repair for spanner edge {u,v} of weight w (already out of H):
+  /// re-picks every decision the removal could have broken.
   std::size_t repair_after_spanner_removal(VertexId u, VertexId v, Weight w);
+
+  /// Moves live G edge `id` into H (unmasking its pair in h_, or appending
+  /// it when h_ lacks the pair) / out of H (masking its pair in h_).
+  void join_h(EdgeId id);
+  void leave_h(EdgeId id);
+  [[nodiscard]] bool in_h(EdgeId id) const noexcept {
+    return blocked_[id] == 0;
+  }
 
   void note_update();
   void publish_locked();
   void adopt_build(Graph live, SpannerBuild build);
 
   ChurnConfig config_;
-  Graph g_;                            ///< append-only arc universe
+  std::size_t n_;                      ///< vertex count, fixed
+  Graph g_;  ///< append-only arc universe G; no snapshot references it
+  /// The copy of g_ that published epochs share; reset by every append, so
+  /// the next publish copies G again.
+  std::shared_ptr<const Graph> shared_g_;
   std::vector<std::uint8_t> dead_;
-  std::vector<std::uint8_t> blocked_;  ///< dead_ OR not in H (plus, during a
-                                       ///< decision, the sweep's edge cut)
-  std::vector<std::uint8_t> in_h_;
+  std::vector<std::uint8_t> blocked_;  ///< 1 = not in H (dead edges never are)
+  /// H as its own append-only graph, in G-id order after every rebuild.
+  /// A G edge's H id is found by pair (h_.find_edge), like its G id.
+  Graph h_;
+  std::vector<std::uint8_t> h_out_;  ///< 1 = H id has left H (plus, during a
+                                     ///< decision, the sweep's edge cut)
   std::size_t live_m_ = 0;
   std::size_t spanner_m_ = 0;
   /// High-water mark of live edge weights — over-approximating is sound for
@@ -221,7 +271,7 @@ class ChurnSpanner {
   DijkstraRunner dij_;
   ScratchMask vcut_;                       ///< vertex cut during decisions
   ScratchMask eseen_;                      ///< repair candidate dedup
-  std::vector<std::uint32_t> ecut_touched_;  ///< blocked_ ids set by a sweep
+  std::vector<std::uint32_t> ecut_touched_;  ///< h_out_ ids set by a sweep
   std::vector<PathStep> path_;
   std::vector<EdgeId> candidates_;           ///< repair re-pick worklist
   std::vector<std::uint32_t> du_hops_, dv_hops_;  ///< repair waves (hops)
@@ -231,7 +281,12 @@ class ChurnSpanner {
   std::uint64_t updates_since_rebuild_ = 0;
   std::uint32_t unpublished_ = 0;
   std::uint64_t epoch_ = 0;
-  std::atomic<std::shared_ptr<const ChurnSnapshot>> snap_;
+  /// Guards snap_ for one pointer copy or swap, never longer.  A mutex, not
+  /// std::atomic<std::shared_ptr>: libstdc++ builds that on a spinlock
+  /// ThreadSanitizer cannot see, so TSan flags every publish against every
+  /// snapshot() call.
+  mutable std::mutex snap_mu_;
+  std::shared_ptr<const ChurnSnapshot> snap_;
 };
 
 /// Least-weight u-v distance over a snapshot view (mesh or spanner).

@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -81,6 +83,32 @@ VertexId parse_vertex(const std::string& tok, std::size_t n) {
     throw std::invalid_argument("vertex '" + tok + "' not in [0, " +
                                 std::to_string(n) + ")");
   return static_cast<VertexId>(v);
+}
+
+/// Parses a `verify` trial count: the whole token, an unsigned decimal that
+/// fits in 32 bits ("-1", "3abc" and "99999999999" are errors, not a count).
+std::uint32_t parse_trials(const std::string& tok) {
+  std::uint32_t trials = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [stop, ec] = std::from_chars(tok.data(), end, trials);
+  if (ec != std::errc{} || stop != end)
+    throw std::invalid_argument("trials '" + tok +
+                                "' is not an unsigned 32-bit integer");
+  return trials;
+}
+
+/// Parses an `insert` weight: the whole token, a finite number.
+Weight parse_weight(const std::string& tok) {
+  std::size_t consumed = 0;
+  Weight w = 0.0;
+  try {
+    w = std::stod(tok, &consumed);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed == 0 || consumed != tok.size() || !std::isfinite(w))
+    throw std::invalid_argument("weight '" + tok + "' is not a finite number");
+  return w;
 }
 
 std::string format_weight(Weight w) {
@@ -245,12 +273,12 @@ void Ftspand::serve_client(int fd) {
   std::string request;
   try {
     while (!stopping_.load() && read_frame(fd, request)) {
-      c_requests.add();
       std::string reply;
       const auto tokens = tokenize(request);
       const std::string cmd = tokens.empty() ? "" : tokens[0];
       if (cmd == "dist" || cmd == "route" || cmd == "stats" || cmd == "ping") {
-        // Snapshot reads: no lock.
+        // Snapshot reads: no lock.  handle() counts every other request.
+        c_requests.add();
         try {
           reply = handle_query(tokens, dij, bfs);
         } catch (const std::exception& e) {
@@ -370,7 +398,7 @@ std::string Ftspand::handle(const std::string& request) {
         throw std::invalid_argument("insert needs <u> <v> [w]");
       const VertexId u = parse_vertex(tokens[1], engine_.n());
       const VertexId v = parse_vertex(tokens[2], engine_.n());
-      const Weight w = tokens.size() == 4 ? std::stod(tokens[3]) : 1.0;
+      const Weight w = tokens.size() == 4 ? parse_weight(tokens[3]) : 1.0;
       const auto r = engine_.insert(u, v, w);
       os << "ok epoch=" << r.epoch << " in_spanner=" << (r.in_spanner ? 1 : 0);
       return os.str();
@@ -386,8 +414,7 @@ std::string Ftspand::handle(const std::string& request) {
     }
     if (cmd == "verify") {
       auto trials = options_.verify_trials;
-      if (tokens.size() >= 2)
-        trials = static_cast<std::uint32_t>(std::stoul(tokens[1]));
+      if (tokens.size() >= 2) trials = parse_trials(tokens[1]);
       const auto oracle = engine_.oracle_check(trials, verify_rng_);
       if (oracle.report.ok) {
         os << "ok verified trials=" << trials

@@ -17,7 +17,10 @@
 //   flush                -> ok epoch=E        (publish immediately)
 //   rebuild              -> ok epoch=E spanner_m=M (greedy re-anchor)
 //   shutdown             -> ok bye            (daemon exits its run loop)
-// Anything else, or an argument error, replies "err <message>".
+// Anything else, or an argument error, replies "err <message>".  Numeric
+// arguments are parsed whole — a vertex must be an integer in [0, n), a
+// trial count an unsigned decimal that fits in 32 bits, a weight a finite
+// number — and a token that is not replies an err naming it.
 //
 // Concurrency: updates (insert/remove/rebuild/flush/verify) serialize on one
 // mutex; dist/route/stats read the engine's published epoch snapshot with

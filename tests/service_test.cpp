@@ -3,11 +3,15 @@
 // the live mesh — verified against the same oracle a from-scratch
 // modified_greedy_spanner rebuild passes (picks need NOT match; the
 // verifier's report must).  Plus the service-layer contracts: update
-// argument errors, resurrect semantics, epoch publishing, the staleness
-// budget, and the ftspand framed protocol over a loopback socket.
+// argument errors, resurrect semantics, epoch publishing and the shared
+// mesh behind it, the search copy of H, the staleness budget, readers
+// racing the updater, and the ftspand framed protocol over a loopback
+// socket.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -18,7 +22,9 @@
 #include "core/modified_greedy.h"
 #include "fault/verifier.h"
 #include "graph/generators.h"
+#include "graph/search.h"
 #include "graph/subgraph.h"
+#include "obs/obs.h"
 #include "service/churn_spanner.h"
 #include "service/ftspand.h"
 #include "util/rng.h"
@@ -65,6 +71,66 @@ struct EdgeMirror {
     auto it = live.begin();
     std::advance(it, static_cast<long>(rng.next_below(live.size())));
     return *it;
+  }
+};
+
+/// Drives a ChurnSpanner (built with rebuild_budget = 0) through every way G
+/// and H change: inserts of pairs G does not hold (appends), resurrects of
+/// pairs removed since the last rebuild, removals of H edges and of other
+/// live edges, and explicit rebuilds.
+struct ChurnStream {
+  ChurnStream(ChurnSpanner& e, EdgeMirror& m, bool w = false)
+      : engine(e), mirror(m), weighted(w) {}
+
+  ChurnSpanner& engine;
+  EdgeMirror& mirror;
+  bool weighted;
+  std::set<VertexPair> dead;  ///< removed since the last rebuild (still in G)
+  std::size_t appends = 0;
+  std::size_t resurrects = 0;
+  std::size_t h_removals = 0;
+
+  void append(Rng& rng) {
+    VertexPair p = mirror.absent(rng);
+    while (dead.count(p) != 0) p = mirror.absent(rng);
+    auto& w = mirror.weights[p];
+    if (w == 0.0) w = weighted ? 1.0 + 7.0 * rng.next_double() : 1.0;
+    engine.insert(p.first, p.second, w);
+    mirror.live.insert(p);
+    ++appends;
+  }
+
+  void remove(VertexPair p) {
+    engine.remove(p.first, p.second);
+    mirror.live.erase(p);
+    dead.insert(p);
+  }
+
+  void step(Rng& rng) {
+    const auto op = rng.next_below(4);
+    if (op == 0 || mirror.live.empty()) {
+      append(rng);
+    } else if (op == 1 && !dead.empty()) {
+      auto it = dead.begin();
+      std::advance(it, static_cast<long>(rng.next_below(dead.size())));
+      const VertexPair p = *it;
+      engine.insert(p.first, p.second, mirror.weights.at(p));
+      dead.erase(it);
+      mirror.live.insert(p);
+      ++resurrects;
+    } else if (op == 2 && engine.spanner_m() > 0) {
+      const Graph h = engine.spanner_graph();
+      const Edge e = h.edge(static_cast<EdgeId>(rng.next_below(h.m())));
+      remove(ordered(e.u, e.v));
+      ++h_removals;
+    } else {
+      remove(mirror.present(rng));
+    }
+  }
+
+  void rebuild() {
+    engine.rebuild();
+    dead.clear();  // the rebuild drops dead edges from G
   }
 };
 
@@ -240,6 +306,170 @@ TEST(ChurnSpanner, EpochsPublishOnSchedule) {
   EXPECT_EQ(engine.snapshot()->stats.removals, 2u);
 }
 
+TEST(ChurnSpanner, SnapshotsShareTheMeshUntilAnAppend) {
+  obs::reset_for_testing();
+  obs::metrics_start();
+  const auto copies = [] {
+    for (const auto& [name, value] : obs::metrics_snapshot().counters)
+      if (name == "service.graph_copies") return value;
+    return std::uint64_t{0};
+  };
+  ChurnConfig config;
+  config.params = SpannerParams{.k = 2, .f = 1};
+  config.publish_every = 2;
+  config.rebuild_budget = 0;
+  ChurnSpanner engine(grid_graph(4, 4), config);
+  EXPECT_EQ(copies(), 0u);  // the first epoch shares the build itself
+
+  // A removal and a resurrect append nothing: both epochs share one Graph.
+  const auto first = engine.snapshot();
+  engine.remove(0, 1);
+  engine.insert(0, 1);
+  const auto second = engine.snapshot();
+  EXPECT_EQ(second->epoch, first->epoch + 1);
+  EXPECT_EQ(&first->graph, &second->graph);
+  EXPECT_EQ(copies(), 0u);
+
+  // Inserts of new pairs append to the updater's own G, and the next
+  // publish copies it once, so the earlier snapshot keeps its m() and its
+  // edges.
+  const std::vector<Edge> edges(second->graph.edges().begin(),
+                                second->graph.edges().end());
+  engine.insert(0, 5);  // diagonals, absent from the grid
+  engine.insert(1, 6);
+  const auto third = engine.snapshot();
+  EXPECT_EQ(copies(), 1u);
+  EXPECT_NE(&second->graph, &third->graph);
+  EXPECT_EQ(second->graph.m(), edges.size());
+  EXPECT_TRUE(std::equal(edges.begin(), edges.end(),
+                         second->graph.edges().begin(),
+                         second->graph.edges().end()));
+  EXPECT_FALSE(second->graph.has_edge(0, 5));
+  EXPECT_FALSE(second->graph.has_edge(1, 6));
+  EXPECT_EQ(third->graph.m(), edges.size() + 2);
+  EXPECT_TRUE(third->graph.has_edge(0, 5));
+  EXPECT_TRUE(third->graph.has_edge(1, 6));
+  obs::reset_for_testing();
+}
+
+TEST(ChurnSpanner, SearchGraphHoldsExactlyTheSpannerAfterEveryUpdate) {
+  // Decisions and repair waves search the engine's own copy of H.  After
+  // every update — appends, resurrects, H removals, other removals, and a
+  // rebuild midway — its unmasked edges must be exactly the spanner's.
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 606 : 505);
+    Graph start = gnp(36, 0.18, rng);
+    if (weighted) start = with_uniform_weights(start, 1.0, 8.0, rng);
+    EdgeMirror mirror(start);
+    ChurnConfig config;
+    config.params = SpannerParams{
+        .k = 2, .f = 1,
+        .model = weighted ? FaultModel::edge : FaultModel::vertex};
+    config.rebuild_budget = 0;
+    config.publish_every = 3;
+    ChurnSpanner engine(std::move(start), config);
+    ChurnStream churn(engine, mirror, weighted);
+
+    const auto expect_mirrors_spanner = [&](int step) {
+      std::map<VertexPair, Weight> spanner;
+      const Graph spanner_h = engine.spanner_graph();
+      for (const auto& e : spanner_h.edges()) spanner[ordered(e.u, e.v)] = e.w;
+      std::map<VertexPair, Weight> searched;
+      const Graph& h = engine.search_graph();
+      const FaultView view = engine.search_view();
+      for (EdgeId e = 0; e < h.m(); ++e) {
+        if (view.edge_alive(e))
+          searched[ordered(h.edge(e).u, h.edge(e).v)] = h.edge(e).w;
+      }
+      EXPECT_EQ(searched, spanner)
+          << "weighted=" << weighted << " after update " << step;
+      return searched == spanner;
+    };
+    ASSERT_TRUE(expect_mirrors_spanner(-1));
+    for (int step = 0; step < 160; ++step) {
+      if (step == 80) churn.rebuild();
+      churn.step(rng);
+      ASSERT_TRUE(expect_mirrors_spanner(step));
+    }
+    EXPECT_GT(churn.appends, 0u);
+    EXPECT_GT(churn.resurrects, 0u);
+    EXPECT_GT(churn.h_removals, 0u);
+    EXPECT_GT(engine.stats().repair_promotions, 0u) << "weighted=" << weighted;
+  }
+}
+
+TEST(ChurnSpanner, ReadersRouteOnSnapshotsWhileTheUpdaterAppends) {
+  // Readers route and measure on whatever snapshot they hold while the
+  // updater appends new pairs (so publishes copy the mesh), removes H edges
+  // and rebuilds.  Every answer must be a
+  // valid path in, and consistent with, the snapshot it came from; under
+  // ThreadSanitizer this also checks that sharing one Graph between the
+  // updater and the readers is race-free.
+  Rng rng(77);
+  Graph start = gnp(40, 0.15, rng);
+  const std::size_t n = start.n();
+  EdgeMirror mirror(start);
+  ChurnConfig config;
+  config.params = SpannerParams{.k = 2, .f = 1};
+  config.rebuild_budget = 0;
+  config.publish_every = 2;
+  ChurnSpanner engine(std::move(start), config);
+  const Weight t = config.params.stretch();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answers{0};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (std::uint64_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng qrng(1000 + r);
+      BfsRunner bfs(n);
+      DijkstraRunner dij(n);
+      std::vector<PathStep> path;
+      do {
+        const auto snap = engine.snapshot();
+        const Graph& g = snap->graph;
+        const auto u = static_cast<VertexId>(qrng.next_below(n));
+        const auto v = static_cast<VertexId>((u + 1 + qrng.next_below(n - 1)) % n);
+        const Weight mesh = snapshot_distance(*snap, dij, u, v, snap->mesh_view());
+        const Weight span =
+            snapshot_distance(*snap, dij, u, v, snap->spanner_view());
+        bool ok = span >= mesh && (mesh == kUnreachableWeight || span <= t * mesh);
+        if (bfs.shortest_path_arcs(g, u, v, path, snap->spanner_view())) {
+          ok = ok && path.front().to == u && path.back().to == v &&
+               static_cast<Weight>(path.size() - 1) == span;
+          for (std::size_t i = 1; ok && i < path.size(); ++i) {
+            const EdgeId e = path[i].edge;
+            ok = e < g.m() && snap->blocked[e] == 0 &&
+                 ordered(g.edge(e).u, g.edge(e).v) ==
+                     ordered(path[i - 1].to, path[i].to);
+          }
+        } else {
+          ok = ok && span == kUnreachableWeight;
+        }
+        if (!ok) bad.fetch_add(1);
+        answers.fetch_add(1);
+      } while (!done.load());
+    });
+  }
+
+  while (answers.load() < readers.size()) std::this_thread::yield();
+  ChurnStream churn(engine, mirror);
+  for (int step = 0; step < 240; ++step) {
+    if (step % 80 == 79) churn.rebuild();
+    if (step % 3 == 0) {
+      churn.append(rng);
+    } else {
+      churn.step(rng);
+    }
+  }
+  done.store(true);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(bad.load(), 0u) << "of " << answers.load() << " answers";
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_GT(churn.h_removals, 0u);
+}
+
 TEST(ChurnSpanner, StalenessBudgetTriggersRebuild) {
   ChurnConfig config;
   config.params = SpannerParams{.k = 2, .f = 1};
@@ -331,6 +561,119 @@ TEST(Ftspand, HandleDispatchInProcess) {
   EXPECT_EQ(daemon.handle("remove 0 4").substr(0, 2), "ok");
   EXPECT_EQ(daemon.handle("rebuild").substr(0, 2), "ok");
   EXPECT_EQ(daemon.handle("dist 0 8").substr(0, 2), "ok");
+
+  // Numeric arguments parse whole: a bad token replies an err naming it,
+  // never a truncated or wrapped value (verify -1 once meant 2^32 - 1
+  // trials under the update lock).
+  const auto rejects = [&](const std::string& request, const std::string& tok) {
+    const std::string reply = daemon.handle(request);
+    EXPECT_EQ(reply.substr(0, 4), "err ") << request << " -> " << reply;
+    EXPECT_NE(reply.find("'" + tok + "'"), std::string::npos)
+        << request << " -> " << reply;
+  };
+  rejects("insert 0 4 1x", "1x");
+  rejects("insert 0 4 inf", "inf");
+  rejects("insert 0 4 nan", "nan");
+  rejects("insert 0 4 1e999", "1e999");
+  rejects("verify 3abc", "3abc");
+  rejects("verify -1", "-1");
+  rejects("verify +3", "+3");
+  rejects("verify 99999999999", "99999999999");
+  rejects("verify 4294967296", "4294967296");
+  EXPECT_EQ(daemon.handle("verify 3").substr(0, 11), "ok verified");
+  EXPECT_EQ(daemon.handle("insert 0 4 1.0").substr(0, 2), "ok");
+}
+
+TEST(Ftspand, ClientsQueryWhileAnotherClientUpdates) {
+  // Two reader connections route and measure on snapshots while a third
+  // connection appends new pairs, removes edges and rebuilds; every reply
+  // must be ok, and every route must run between the vertices asked for.
+  ChurnConfig config;
+  config.params = SpannerParams{.k = 2, .f = 1};
+  config.publish_every = 2;
+  Ftspand daemon(grid_graph(6, 6), config, ServeOptions{});
+  std::thread server([&] { daemon.run(); });
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const int fd = connect_tcp(daemon.port());
+      Rng qrng(2000 + r);
+      std::string reply;
+      do {
+        const auto u = qrng.next_below(36);
+        const auto v = (u + 1 + qrng.next_below(35)) % 36;
+        const std::string pair = std::to_string(u) + " " + std::to_string(v);
+        write_frame(fd, "dist " + pair);
+        if (!read_frame(fd, reply) || reply.rfind("ok epoch=", 0) != 0) ++bad;
+        write_frame(fd, "route " + pair);
+        if (!read_frame(fd, reply) || reply.rfind("ok epoch=", 0) != 0) {
+          ++bad;
+        } else if (const auto at = reply.find(" path="); at != std::string::npos) {
+          const std::string path = reply.substr(at + 6);
+          if (path.rfind(std::to_string(u) + ">", 0) != 0 ||
+              path.substr(path.rfind('>') + 1) != std::to_string(v))
+            ++bad;
+        }
+      } while (!done.load());
+      ::close(fd);
+    });
+  }
+
+  const int fd = connect_tcp(daemon.port());
+  std::string reply;
+  const auto ask = [&](const std::string& cmd) {
+    write_frame(fd, cmd);
+    EXPECT_TRUE(read_frame(fd, reply)) << cmd;
+    EXPECT_EQ(reply.substr(0, 3), "ok ") << cmd << " -> " << reply;
+  };
+  for (VertexId i = 0; i < 5; ++i) {
+    const std::string diag = std::to_string(i) + " " + std::to_string(i + 7);
+    ask("insert " + diag);  // a diagonal: a new pair, appended to G
+    ask("remove " + std::to_string(i) + " " + std::to_string(i + 1));
+    if (i == 2) ask("rebuild");
+    ask("remove " + diag);
+    ask("insert " + diag);  // resurrected, or appended after the rebuild
+  }
+  ask("flush");
+  done.store(true);
+  for (auto& reader : readers) reader.join();
+  ask("shutdown");
+  server.join();
+  ::close(fd);
+  EXPECT_EQ(bad.load(), 0u);
+}
+
+TEST(Ftspand, SocketRequestsCountOnce) {
+  // Every frame a client sends is one request in service.requests, whether
+  // it takes the lock-free query path or the update path through handle().
+  obs::reset_for_testing();
+  obs::metrics_start();
+  {
+    ChurnConfig config;
+    config.params = SpannerParams{.k = 2, .f = 1};
+    Ftspand daemon(grid_graph(4, 4), config, ServeOptions{});
+    std::thread server([&] { daemon.run(); });
+    const int fd = connect_tcp(daemon.port());
+    const std::vector<std::string> frames = {
+        "ping",       "stats",     "insert 0 5", "remove 0 1", "dist 0 1",
+        "route 0 15", "verify 2",  "flush",      "rebuild",    "insert 0 0",
+        "nonsense",   "",          "shutdown"};
+    std::string reply;
+    for (const auto& frame : frames) {
+      write_frame(fd, frame);
+      EXPECT_TRUE(read_frame(fd, reply)) << frame;
+    }
+    server.join();
+    ::close(fd);
+    std::uint64_t requests = 0;
+    for (const auto& [name, value] : obs::metrics_snapshot().counters)
+      if (name == "service.requests") requests = value;
+    EXPECT_EQ(requests, frames.size());
+  }
+  obs::reset_for_testing();
 }
 
 }  // namespace

@@ -9,18 +9,21 @@ ftspan_cli) is structurally sound before it is uploaded as an artifact:
    (no orphan E, no unclosed B) and timestamps are monotone within a track,
    so Perfetto's importer will accept every track;
 3. the trace actually covers the instrumented subsystems: at least
-   --min-categories distinct categories (default 6) and at least
-   --min-tracks named thread tracks;
+   --min-categories distinct categories and at least --min-tracks named
+   thread tracks;
 4. thread_name metadata is present for every tid that emitted events.
 
 Usage:
-  check_trace.py TRACE.json [--min-categories 6] [--min-tracks 2]
+  check_trace.py TRACE.json --min-categories N [--min-tracks 2]
                  [--require-category CAT ...]
 
-Exits non-zero with a per-failure report.  A traced build emits the tree,
-graft and sweep categories on the main track; a verification with
---threads N > 1 adds pool and verify spans on N tracks.  The CI lanes pass
---min-categories and --require-category to match the run they trace.
+Exits non-zero with a per-failure report.  --min-categories is required:
+how many categories a trace must show depends on the run it records, so
+the caller states it.  A traced build emits the tree, graft and sweep
+categories on the main track; a verification with --threads N > 1 adds
+pool and verify spans on N tracks; a traced ftspand session adds service
+spans.  The CI lanes pass --min-categories and --require-category to match
+the run they trace.
 """
 
 import argparse
@@ -32,8 +35,8 @@ import sys
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON to validate")
-    parser.add_argument("--min-categories", type=int, default=6,
-                        help="distinct event categories required (default 6)")
+    parser.add_argument("--min-categories", type=int, required=True,
+                        help="distinct event categories required")
     parser.add_argument("--min-tracks", type=int, default=2,
                         help="named thread tracks required (default 2)")
     parser.add_argument("--require-category", action="append", default=[],
