@@ -3,8 +3,9 @@
 //
 // One updater thread streams random edge inserts/removals through a
 // ChurnSpanner in pure incremental mode (rebuild_budget = 0) while reader
-// threads answer spanner distance queries off the published epoch
-// snapshots, never waiting on the updater's work.  The bench reports:
+// threads route over the maintained spanner of the published epoch
+// snapshots (snapshot_route, as ftspand's `route` does), never waiting on
+// the updater's work.  The bench reports:
 //   * sustained update throughput (updates/s over the apply time alone),
 //   * query latency p50/p99 in microseconds, measured per query on the
 //     reader threads while the updater runs,
@@ -224,8 +225,9 @@ int main(int argc, char** argv) {
   std::cout << "initial spanner: " << engine.spanner_m() << " / "
             << engine.live_m() << " edges in " << r.build_seconds << "s\n";
 
-  // Readers: snapshot distance queries on the maintained spanner
-  // (hop BFS — the mesh is unweighted), each timed individually.
+  // Readers: snapshot routes on the maintained spanner through
+  // snapshot_route, the path ftspand's `route` serves, each timed
+  // individually.
   std::atomic<std::size_t> quota{queries};
   std::vector<std::vector<double>> latencies(readers);
   std::vector<std::thread> pool;
@@ -234,7 +236,8 @@ int main(int argc, char** argv) {
     pool.emplace_back([&, t] {
       Rng qrng(seed + 1000 + t);
       BfsRunner bfs(n);
-      std::vector<PathStep> path;
+      DijkstraRunner dij(n);
+      service::Route route;
       auto& lat = latencies[t];
       lat.reserve(queries / readers + 64);
       while (true) {
@@ -245,9 +248,7 @@ int main(int argc, char** argv) {
         if (v == u) v = (v + 1) % static_cast<VertexId>(n);
         const Timer q;
         const auto snap = engine.snapshot();
-        (void)bfs.shortest_path_arcs(snap->graph, u, v, path,
-                                     snap->spanner_view(),
-                                     kUnreachableHops);
+        (void)service::snapshot_route(*snap, bfs, dij, u, v, route);
         lat.push_back(q.seconds() * 1e6);
       }
     });

@@ -56,32 +56,47 @@ Graph Graph::from_edges(std::size_t n, std::span<const Edge> edges, bool weighte
                    "parallel edge rejected");
   }
 
+  g.edges_.assign(edges.begin(), edges.end());
+  g.build_rows();
+  return g;
+}
+
+Graph Graph::from_unmasked(const Graph& g, std::span<const std::uint8_t> mask) {
+  FTSPAN_REQUIRE(mask.size() == g.m(), "mask must cover every edge id");
+  Graph out(g.n(), g.weighted_);
+  out.edges_.reserve(static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), std::uint8_t{0})));
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    if (mask[i] == 0) out.edges_.push_back(g.edges_[i]);
+  out.build_rows();
+  return out;
+}
+
+void Graph::build_rows() {
   // Counting-sort CSR build: degree pass, prefix-sum offsets, fill pass.
   // Rows are exact-fit (cap == deg) and laid out in vertex order with no
   // holes, so the arc array is exactly 2m entries.  Iterating edges in list
   // order keeps each row's arc order identical to incremental add_edge.
-  g.edges_.assign(edges.begin(), edges.end());
-  for (const auto& e : edges) {
-    ++g.rows_[e.u].deg;
-    ++g.rows_[e.v].deg;
+  for (const auto& e : edges_) {
+    ++rows_[e.u].deg;
+    ++rows_[e.v].deg;
   }
   ArcIndex offset = 0;
-  for (auto& row : g.rows_) {
+  for (auto& row : rows_) {
     row.offset = offset;
     row.cap = row.deg;
     offset += row.deg;
     row.deg = 0;  // reused as the fill cursor below
   }
-  g.arcs_.resize(offset);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const auto& e = edges[i];
+  arcs_.resize(offset);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const auto& e = edges_[i];
     const auto id = static_cast<EdgeId>(i);
-    Row& ru = g.rows_[e.u];
-    g.arcs_[ru.offset + ru.deg++] = Arc{e.v, id, e.w};
-    Row& rv = g.rows_[e.v];
-    g.arcs_[rv.offset + rv.deg++] = Arc{e.u, id, e.w};
+    Row& ru = rows_[e.u];
+    arcs_[ru.offset + ru.deg++] = Arc{e.v, id, e.w};
+    Row& rv = rows_[e.v];
+    arcs_[rv.offset + rv.deg++] = Arc{e.u, id, e.w};
   }
-  return g;
 }
 
 void Graph::relocate_row(VertexId v, std::uint32_t new_cap) {
@@ -196,7 +211,7 @@ Weight Graph::total_weight() const noexcept {
 
 void Graph::reserve_edges(std::size_t m) {
   edges_.reserve(m);
-  arcs_.reserve(arcs_.size() + 2 * m);
+  arcs_.reserve(2 * m);
 }
 
 std::size_t Graph::memory_bytes() const noexcept {

@@ -65,6 +65,13 @@ class Graph {
   static Graph from_edges(std::size_t n, std::span<const Edge> edges,
                           bool weighted = false);
 
+  /// The subgraph of `g` on the same vertex set that keeps the edges whose
+  /// `mask` byte is 0 (mask.size() == g.m()), renumbered densely in id
+  /// order.  Equal to from_edges over the kept edge list — same edge ids,
+  /// same arc order in every row, exact-fit rows — in O(n + m): a subgraph
+  /// of a simple graph is simple, so the duplicate sort is skipped.
+  static Graph from_unmasked(const Graph& g, std::span<const std::uint8_t> mask);
+
   [[nodiscard]] std::size_t n() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t m() const noexcept { return edges_.size(); }
   [[nodiscard]] bool weighted() const noexcept { return weighted_; }
@@ -105,7 +112,7 @@ class Graph {
   /// Sum of all edge weights.
   [[nodiscard]] Weight total_weight() const noexcept;
 
-  /// Reserves storage for `m` edges.
+  /// Reserves storage for `m` edges in total (not beyond the current m()).
   void reserve_edges(std::size_t m);
 
   /// Bytes held by the adjacency structure (arc array incl. dead holes and
@@ -139,6 +146,9 @@ class Graph {
 
   /// Rewrites all rows in vertex order, dropping dead holes.
   void compact();
+
+  /// Lays out exact-fit rows for edges_ on an edgeless row table.
+  void build_rows();
 
   std::vector<Row> rows_;
   std::vector<Arc> arcs_;

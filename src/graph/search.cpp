@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "util/check.h"
 
@@ -42,14 +43,15 @@ std::size_t BfsRunner::arena_bytes() const noexcept {
          bytes(queue_) + bytes(iqueue_) + bytes(tmark_) + bytes(amark_);
 }
 
-void BfsRunner::begin_epoch() {
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: invalidate all stamps
+void BfsRunner::begin_epoch(std::uint32_t stamps) {
+  if (epoch_ > std::numeric_limits<std::uint32_t>::max() - stamps) {
+    // would wrap: invalidate all stamps
     for (auto& stamp : stamp_) stamp = 0;
     for (auto& mark : tmark_) mark = 0;
     for (auto& mark : amark_) mark = 0;
-    epoch_ = 1;
+    epoch_ = 0;
   }
+  epoch_ += stamps;
   queue_.clear();
 }
 
@@ -151,6 +153,97 @@ bool BfsRunner::shortest_path_arcs(const Graph& g, VertexId s, VertexId t,
   return true;
 }
 
+template <bool kCheckVertices, bool kCheckEdges>
+std::uint32_t BfsRunner::two_ended_impl(const Graph& g, const FaultView faults,
+                                        std::vector<PathStep>& out) {
+  // Side 0 grows from s in queue_, side 1 from t in iqueue_.  A vertex
+  // belongs to the side that reached it first, which its stamp names, and
+  // its parent chain leads to that side's root.
+  std::uint32_t* const dist = dist_.data();
+  std::uint32_t* const stamp = stamp_.data();
+  VertexId* const parent = parent_.data();
+  EdgeId* const parc = parent_arc_.data();
+  std::vector<VertexId>* const queue[2] = {&queue_, &iqueue_};
+  const std::uint32_t mark[2] = {epoch_ - 1, epoch_};
+  std::size_t level[2] = {0, 0};  // queue index where the unexpanded level starts
+
+  while (true) {
+    const std::size_t size0 = queue_.size() - level[0];
+    const std::size_t size1 = iqueue_.size() - level[1];
+    if (size0 == 0 || size1 == 0) return kUnreachableHops;
+    const int side = size0 <= size1 ? 0 : 1;
+    std::vector<VertexId>& q = *queue[side];
+    const std::uint32_t own = mark[side];
+    const std::uint32_t other = mark[side ^ 1];
+    const std::size_t end = q.size();
+    for (std::size_t head = level[side]; head < end; ++head) {
+      const VertexId x = q[head];
+      const auto arcs = g.neighbors(x);
+      arcs_scanned_ += arcs.size();
+      for (const auto& arc : arcs) {
+        const std::uint32_t st = stamp[arc.to];
+        if (st == own) continue;
+        if constexpr (kCheckEdges) {
+          if (!faults.edge_alive(arc.edge)) continue;
+        }
+        if (st == other) {
+          // s ... a -(arc)- b ... t, with a on side 0 and b on side 1.
+          const VertexId a = side == 0 ? x : arc.to;
+          const VertexId b = side == 0 ? arc.to : x;
+          out.clear();
+          for (VertexId z = a; z != kInvalidVertex; z = parent[z])
+            out.push_back(PathStep{z, parc[z]});
+          std::reverse(out.begin(), out.end());
+          out.push_back(PathStep{b, arc.edge});
+          for (VertexId z = b; parent[z] != kInvalidVertex; z = parent[z])
+            out.push_back(PathStep{parent[z], parc[z]});
+          return dist[a] + 1 + dist[b];
+        }
+        if constexpr (kCheckVertices) {
+          if (!faults.vertex_alive(arc.to)) continue;
+        }
+        dist[arc.to] = dist[x] + 1;
+        stamp[arc.to] = own;
+        parent[arc.to] = x;
+        parc[arc.to] = arc.edge;
+        q.push_back(arc.to);
+      }
+    }
+    level[side] = end;
+  }
+}
+
+std::uint32_t BfsRunner::two_ended_path_arcs(const Graph& g, VertexId s,
+                                             VertexId t,
+                                             std::vector<PathStep>& out,
+                                             const FaultView& faults) {
+  FTSPAN_REQUIRE(s < g.n() && t < g.n(), "search endpoint out of range");
+  ensure(g.n());
+  begin_epoch(2);
+  if (!faults.vertex_alive(s) || !faults.vertex_alive(t)) return kUnreachableHops;
+  if (s == t) {
+    out.assign(1, PathStep{s, kInvalidEdge});
+    return 0;
+  }
+  const auto plant = [&](VertexId root, std::uint32_t side_stamp,
+                         std::vector<VertexId>& q) {
+    dist_[root] = 0;
+    stamp_[root] = side_stamp;
+    parent_[root] = kInvalidVertex;
+    parent_arc_[root] = kInvalidEdge;
+    q.assign(1, root);
+  };
+  plant(s, epoch_ - 1, queue_);
+  plant(t, epoch_, iqueue_);
+
+  const bool check_v = !faults.failed_vertices.empty();
+  const bool check_e = !faults.failed_edges.empty();
+  if (check_v && check_e) return two_ended_impl<true, true>(g, faults, out);
+  if (check_v) return two_ended_impl<true, false>(g, faults, out);
+  if (check_e) return two_ended_impl<false, true>(g, faults, out);
+  return two_ended_impl<false, false>(g, faults, out);
+}
+
 void BfsRunner::path_arcs_to(VertexId v, std::vector<PathStep>& out) const {
   FTSPAN_ASSERT(v < capacity() && stamp_[v] == epoch_,
                 "path_arcs_to target was not reached by the last search");
@@ -188,20 +281,25 @@ void BfsRunner::tree_begin(const Graph& g, VertexId s,
 
 template <bool kCheckVertices, bool kCheckEdges>
 std::uint32_t BfsRunner::tree_next_impl(VertexId v) {
+  // Locals, not members: the loop's stores could alias the members, so the
+  // compiler would reload them on every arc.
   const Graph& g = *tree_g_;
-  const FaultView& faults = tree_faults_;
+  const FaultView faults = tree_faults_;
   const std::uint32_t max_hops = tree_max_hops_;
+  const std::uint32_t epoch = epoch_;
   std::uint32_t* const dist = dist_.data();
   std::uint32_t* const stamp = stamp_.data();
   VertexId* const parent = parent_.data();
   EdgeId* const parc = parent_arc_.data();
+  std::uint32_t* const tmark = tmark_.data();
+  std::uint32_t* const amark = amark_.data();
 
   while (tree_head_ < queue_.size()) {
     const VertexId u = queue_[tree_head_];
     const std::uint32_t du = dist[u];
-    if (tmark_[u] == epoch_) {  // a pending target settles when popped
-      tmark_[u] = 0;
-      amark_[u] = epoch_;
+    if (tmark[u] == epoch) {  // a pending target settles when popped
+      tmark[u] = 0;
+      amark[u] = epoch;
     }
     if (du >= max_hops) {  // deepest level: popped, never scanned
       ++tree_head_;
@@ -214,8 +312,8 @@ std::uint32_t BfsRunner::tree_next_impl(VertexId v) {
     const auto arcs = g.neighbors(u);
     arcs_scanned_ += arcs.size();
     for (const auto& arc : arcs) {
-      if (frontier_next && tmark_[arc.to] != epoch_) continue;
-      if (stamp[arc.to] == epoch_) continue;
+      if (frontier_next && tmark[arc.to] != epoch) continue;
+      if (stamp[arc.to] == epoch) continue;
       if constexpr (kCheckEdges) {
         if (!faults.edge_alive(arc.edge)) continue;
       }
@@ -223,7 +321,7 @@ std::uint32_t BfsRunner::tree_next_impl(VertexId v) {
         if (!faults.vertex_alive(arc.to)) continue;
       }
       dist[arc.to] = du + 1;
-      stamp[arc.to] = epoch_;
+      stamp[arc.to] = epoch;
       parent[arc.to] = u;
       parc[arc.to] = arc.edge;
       queue_.push_back(arc.to);

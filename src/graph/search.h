@@ -96,6 +96,19 @@ class BfsRunner {
                           const FaultView& faults = {},
                           std::uint32_t max_hops = kUnreachableHops);
 
+  /// Fewest-hop s-t path with no hop bound, searched from both ends: each
+  /// round expands one whole BFS level of the side whose frontier holds
+  /// fewer vertices, and the first arc that reaches the other side closes
+  /// the path.  Both sides' balls are complete up to their last level when
+  /// that happens, so no shorter path can exist.  Writes the path in
+  /// shortest_path_arcs' format and returns its hop count, which equals
+  /// hop_distance's; among equally short paths it may pick another one.
+  /// Returns kUnreachableHops (out untouched) when t is unreachable.  Ends
+  /// any terminal-tree session; path_arcs_to does not apply to it.
+  std::uint32_t two_ended_path_arcs(const Graph& g, VertexId s, VertexId t,
+                                    std::vector<PathStep>& out,
+                                    const FaultView& faults = {});
+
   /// Hop distances from s to every vertex (kUnreachableHops when
   /// unreachable), written into `out` (resized to g.n()).
   void all_hops(const Graph& g, VertexId s, std::vector<std::uint32_t>& out,
@@ -186,14 +199,24 @@ class BfsRunner {
   /// Runs BFS from s; stops early once t is settled.  Returns dist(t).
   std::uint32_t run(const Graph& g, VertexId s, VertexId t,
                     const FaultView& faults, std::uint32_t max_hops);
+  // The search functions start on a 64-byte line, so where their loops'
+  // compare-and-branch pairs fall does not depend on the code linked before
+  // them: unaligned, a 16-byte shift of unrelated code split one such pair
+  // across a line and slowed the verifier's tree_next loop by 20%.
   template <bool kCheckVertices, bool kCheckEdges>
-  std::uint32_t run_impl(const Graph& g, VertexId s, VertexId t,
-                         const FaultView& faults, std::uint32_t max_hops);
+  [[gnu::aligned(64)]] std::uint32_t run_impl(const Graph& g, VertexId s,
+                                              VertexId t,
+                                              const FaultView& faults,
+                                              std::uint32_t max_hops);
   template <bool kCheckVertices, bool kCheckEdges>
-  std::uint32_t tree_next_impl(VertexId v);
+  [[gnu::aligned(64)]] std::uint32_t tree_next_impl(VertexId v);
+  template <bool kCheckVertices, bool kCheckEdges>
+  [[gnu::aligned(64)]] std::uint32_t two_ended_impl(
+      const Graph& g, FaultView faults, std::vector<PathStep>& out);
   void ensure(std::size_t n);
   void ensure_session_arrays();
-  void begin_epoch();
+  /// Starts a search with `stamps` fresh stamp values, epoch_ the last.
+  void begin_epoch(std::uint32_t stamps = 1);
 
   /// Vertex-universe capacity the state arrays are sized for.
   [[nodiscard]] std::size_t capacity() const noexcept { return stamp_.size(); }
@@ -203,7 +226,8 @@ class BfsRunner {
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_arc_;
   std::vector<VertexId> queue_;
-  std::vector<VertexId> iqueue_;  ///< tree_insert_source_arc work queue
+  /// tree_insert_source_arc work queue; the t side of a two-ended search
+  std::vector<VertexId> iqueue_;
   std::uint32_t epoch_ = 0;
   ArcIndex arcs_scanned_ = 0;
 

@@ -40,17 +40,10 @@ Mask fault_mask(const Graph& g, const FaultSet& faults) {
 
 Graph remove_fault_set(const Graph& g, const FaultSet& faults) {
   const Mask mask = fault_mask(g, faults);
+  if (faults.model == FaultModel::edge) return Graph::from_unmasked(g, mask.bytes());
   Graph out(g.n(), g.weighted());
-  if (faults.model == FaultModel::vertex) {
-    for (const auto& e : g.edges())
-      if (!mask.test(e.u) && !mask.test(e.v)) out.add_edge(e.u, e.v, e.w);
-  } else {
-    for (EdgeId id = 0; id < g.m(); ++id)
-      if (!mask.test(id)) {
-        const auto& e = g.edge(id);
-        out.add_edge(e.u, e.v, e.w);
-      }
-  }
+  for (const auto& e : g.edges())
+    if (!mask.test(e.u) && !mask.test(e.v)) out.add_edge(e.u, e.v, e.w);
   return out;
 }
 

@@ -19,6 +19,7 @@ const obs::Counter c_repair_promotions("service.repair.promotions");
 const obs::Counter c_rebuilds("service.rebuilds");
 const obs::Counter c_publishes("service.publishes");
 const obs::Counter c_graph_copies("service.graph_copies");
+const obs::Counter c_route_h_builds("service.route_h_builds");
 
 /// Slack added to the weighted repair-candidate filter only.  The filter
 /// selects a superset of the edges whose certificate may have used the
@@ -334,21 +335,11 @@ void ChurnSpanner::publish_locked() {
 }
 
 Graph ChurnSpanner::live_graph() const {
-  std::vector<Edge> edges;
-  edges.reserve(live_m_);
-  for (EdgeId e = 0; e < g_.m(); ++e) {
-    if (dead_[e] == 0) edges.push_back(g_.edge(e));
-  }
-  return Graph::from_edges(g_.n(), edges, g_.weighted());
+  return Graph::from_unmasked(g_, dead_);
 }
 
 Graph ChurnSpanner::spanner_graph() const {
-  std::vector<Edge> edges;
-  edges.reserve(spanner_m_);
-  for (EdgeId e = 0; e < g_.m(); ++e) {
-    if (in_h(e)) edges.push_back(g_.edge(e));
-  }
-  return Graph::from_edges(g_.n(), edges, g_.weighted());
+  return Graph::from_unmasked(g_, blocked_);
 }
 
 OracleReport ChurnSpanner::oracle_check(std::uint32_t trials, Rng& rng,
@@ -372,6 +363,43 @@ OracleReport ChurnSpanner::oracle_check(std::uint32_t trials, Rng& rng,
     }
   }
   return out;
+}
+
+void ChurnSnapshot::charge_masked_route(ArcIndex arcs) const {
+  const ArcIndex price = 2 * static_cast<ArcIndex>(graph.m());
+  const ArcIndex paid =
+      masked_route_arcs_.fetch_add(arcs, std::memory_order_relaxed);
+  if (paid >= price || paid + arcs < price) return;  // not the crossing charge
+  compact_h_owner_ =
+      std::make_unique<const Graph>(Graph::from_unmasked(graph, blocked));
+  compact_h_.store(compact_h_owner_.get(), std::memory_order_release);
+  c_route_h_builds.add();
+}
+
+bool snapshot_route(const ChurnSnapshot& snap, BfsRunner& bfs,
+                    DijkstraRunner& dij, VertexId u, VertexId v, Route& out) {
+  FTSPAN_REQUIRE(u < snap.graph.n() && v < snap.graph.n(),
+                 "vertex out of range");
+  const Graph* const h = snap.compact_spanner();
+  const Graph& g = h != nullptr ? *h : snap.graph;
+  const FaultView view = h != nullptr ? FaultView{} : snap.spanner_view();
+  std::vector<PathStep> steps;
+  const ArcIndex before = bfs.arcs_scanned() + dij.arcs_scanned();
+  const bool found =
+      g.weighted()
+          ? dij.shortest_path_arcs(g, u, v, steps, view)
+          : bfs.two_ended_path_arcs(g, u, v, steps, view) != kUnreachableHops;
+  if (h == nullptr)
+    snap.charge_masked_route(bfs.arcs_scanned() + dij.arcs_scanned() - before);
+
+  out.path.clear();
+  out.cost = 0.0;
+  if (!found) return false;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    out.path.push_back(steps[i].to);
+    if (i > 0) out.cost += g.edge(steps[i].edge).w;
+  }
+  return true;
 }
 
 Weight snapshot_distance(const ChurnSnapshot& snap, DijkstraRunner& runner,

@@ -64,6 +64,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -109,6 +110,8 @@ struct ChurnStats {
   std::uint64_t publishes = 0;
 };
 
+struct Route;
+
 /// Immutable epoch state answering reader queries.  `graph` holds every edge
 /// the engine has seen since its last rebuild (dead ones included — Graph is
 /// append-only); the byte masks carve the live mesh and the spanner out of
@@ -116,6 +119,15 @@ struct ChurnStats {
 /// natively.  The Graph is shared, not copied: epochs published with no
 /// append between them hold the same object, and nothing writes it after
 /// publication (the updater appends to its own copy of G).
+///
+/// Routes may also build the snapshot's own compact H,
+/// Graph::from_unmasked(graph, blocked), at most once: when the masked
+/// route searches on this snapshot have together scanned 2 * graph.m() arcs,
+/// which is what the build itself reads.  Like renting skis until the rent
+/// paid equals the price, this never does more than twice the work of the
+/// better of never building and building on the first route, and it needs
+/// no tuned constant.  The reader whose search crosses the threshold builds
+/// H; the others keep searching `graph` meanwhile and never wait.
 struct ChurnSnapshot {
   explicit ChurnSnapshot(std::shared_ptr<const Graph> mesh)
       : graph_owner(std::move(mesh)), graph(*graph_owner) {}
@@ -137,6 +149,35 @@ struct ChurnSnapshot {
   /// View of the maintained spanner H (dead and unpicked edges masked).
   [[nodiscard]] FaultView spanner_view() const noexcept {
     return FaultView{{}, blocked};
+  }
+
+  /// This epoch's spanner H as its own graph (edge ids renumbered), or null
+  /// until routes have built it.
+  [[nodiscard]] const Graph* compact_spanner() const noexcept {
+    return compact_h_.load(std::memory_order_acquire);
+  }
+
+ private:
+  friend bool snapshot_route(const ChurnSnapshot&, BfsRunner&, DijkstraRunner&,
+                             VertexId, VertexId, Route&);
+
+  /// Adds one masked route search's scanned arcs to the rent; the caller
+  /// whose charge reaches 2 * graph.m() builds the compact H.
+  void charge_masked_route(ArcIndex arcs) const;
+
+  mutable std::atomic<ArcIndex> masked_route_arcs_{0};
+  /// Written once, by the building reader, before compact_h_ publishes it.
+  mutable std::unique_ptr<const Graph> compact_h_owner_;
+  mutable std::atomic<const Graph*> compact_h_{nullptr};
+};
+
+/// A route over one snapshot's spanner, in vertices: snapshot_route picks
+/// the graph it searches, so no edge id of it leaves the call.
+struct Route {
+  std::vector<VertexId> path;  ///< u, ..., v; empty when unroutable
+  Weight cost = 0.0;           ///< summed edge weights along the path
+  [[nodiscard]] std::size_t hops() const noexcept {
+    return path.empty() ? 0 : path.size() - 1;
   }
 };
 
@@ -294,5 +335,15 @@ class ChurnSpanner {
 [[nodiscard]] Weight snapshot_distance(const ChurnSnapshot& snap,
                                        DijkstraRunner& runner, VertexId u,
                                        VertexId v, const FaultView& view);
+
+/// Fewest-hop (unweighted mesh) or least-weight (weighted mesh) u-v route
+/// over the snapshot's maintained spanner H, written into `out`; false (and
+/// an empty out.path) when H does not connect u and v.  Searches the
+/// snapshot's compact H once a reader has built it, and `graph` under
+/// spanner_view() until then; unweighted routes search from both ends.
+/// Callers supply their own runners so concurrent readers never share
+/// state.
+bool snapshot_route(const ChurnSnapshot& snap, BfsRunner& bfs,
+                    DijkstraRunner& dij, VertexId u, VertexId v, Route& out);
 
 }  // namespace ftspan::service

@@ -351,26 +351,16 @@ std::string Ftspand::handle_query(const std::vector<std::string>& tokens,
   if (cmd == "route") {
     // Route over the maintained spanner; hop path on unweighted meshes,
     // least-weight path on weighted ones.
-    std::vector<PathStep> steps;
-    bool found;
-    Weight cost = 0.0;
-    const FaultView view = snap->spanner_view();
-    if (snap->graph.weighted()) {
-      found = dij.shortest_path_arcs(snap->graph, u, v, steps, view);
-    } else {
-      found = bfs.shortest_path_arcs(snap->graph, u, v, steps, view);
-    }
-    if (!found) {
+    Route route;
+    if (!snapshot_route(*snap, bfs, dij, u, v, route)) {
       os << "ok epoch=" << snap->epoch << " unroutable";
       return os.str();
     }
-    for (std::size_t i = 1; i < steps.size(); ++i)
-      cost += snap->graph.edge(steps[i].edge).w;
-    os << "ok epoch=" << snap->epoch << " hops=" << steps.size() - 1
-       << " cost=" << cost << " path=";
-    for (std::size_t i = 0; i < steps.size(); ++i) {
+    os << "ok epoch=" << snap->epoch << " hops=" << route.hops()
+       << " cost=" << route.cost << " path=";
+    for (std::size_t i = 0; i < route.path.size(); ++i) {
       if (i > 0) os << '>';
-      os << steps[i].to;
+      os << route.path[i];
     }
     return os.str();
   }

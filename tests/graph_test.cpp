@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/fault_mask.h"
 #include "graph/graph.h"
@@ -286,6 +289,73 @@ TEST(Graph, InterleavedGrowthMatchesEdgeList) {
       EXPECT_EQ(arcs[i].edge, expect[v][i].second);
     }
   }
+}
+
+/// Same vertex count, weighting, edge list, and arcs in the same order in
+/// every row.
+void expect_same_graph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.n(), b.n());
+  ASSERT_EQ(a.weighted(), b.weighted());
+  ASSERT_TRUE(std::equal(a.edges().begin(), a.edges().end(), b.edges().begin(),
+                         b.edges().end()));
+  for (VertexId v = 0; v < a.n(); ++v) {
+    const auto ra = a.neighbors(v);
+    const auto rb = b.neighbors(v);
+    ASSERT_EQ(ra.size(), rb.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].to, rb[i].to) << "vertex " << v << " arc " << i;
+      EXPECT_EQ(ra[i].edge, rb[i].edge) << "vertex " << v << " arc " << i;
+      EXPECT_EQ(ra[i].w, rb[i].w) << "vertex " << v << " arc " << i;
+    }
+  }
+}
+
+TEST(Graph, FromUnmaskedEqualsFromEdgesOverTheKeptList) {
+  for (const bool weighted : {false, true}) {
+    Rng rng(weighted ? 57 : 56);
+    // Grown by add_edge: a hub row and round-robin rows relocate many
+    // times, so the source rows sit scattered in the arc array.
+    const std::size_t n = 90;
+    Graph g(n, weighted);
+    for (VertexId v = 1; v < 40; ++v)
+      g.add_edge(0, v, weighted ? 1.0 + rng.next_double() : 1.0);
+    for (int i = 0; i < 900; ++i) {
+      const auto u = static_cast<VertexId>(rng.next_below(n));
+      const auto v = static_cast<VertexId>(rng.next_below(n));
+      if (u == v || g.has_edge(u, v)) continue;
+      g.add_edge(u, v, weighted ? 1.0 + 9.0 * rng.next_double() : 1.0);
+    }
+    for (const double keep : {0.0, 0.3, 0.8, 1.0}) {
+      std::vector<std::uint8_t> mask(g.m());
+      std::vector<Edge> kept;
+      for (EdgeId e = 0; e < g.m(); ++e) {
+        mask[e] = rng.next_double() < keep ? 0 : 1;
+        if (mask[e] == 0) kept.push_back(g.edge(e));
+      }
+      const Graph fast = Graph::from_unmasked(g, mask);
+      const Graph slow = Graph::from_edges(n, kept, weighted);
+      SCOPED_TRACE(::testing::Message() << "weighted=" << weighted
+                                        << " keep=" << keep);
+      expect_same_graph(fast, slow);
+      EXPECT_EQ(fast.memory_bytes(), slow.memory_bytes());
+    }
+  }
+  const Graph g = Graph::from_edges(3, std::vector<Edge>{{0, 1, 1.0}, {1, 2, 1.0}});
+  EXPECT_THROW((void)Graph::from_unmasked(g, std::vector<std::uint8_t>(1)),
+               std::invalid_argument);
+}
+
+TEST(Graph, ReserveEdgesCountsEdgesInTotal) {
+  // A bulk-built graph already holds storage for its m edges, so reserving
+  // m edges in total must not allocate.
+  Rng rng(8);
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v < 200; ++v)
+    edges.push_back({static_cast<VertexId>(rng.next_below(v)), v, 1.0});
+  Graph g = Graph::from_edges(200, edges);
+  const std::size_t before = g.memory_bytes();
+  g.reserve_edges(g.m());
+  EXPECT_EQ(g.memory_bytes(), before);
 }
 
 }  // namespace

@@ -134,6 +134,114 @@ TEST(Bfs, OutOfRangeEndpointThrows) {
   EXPECT_THROW(bfs.hop_distance(g, 0, 9), std::invalid_argument);
 }
 
+// ------------------------------------------------------ two-ended BFS
+
+/// True when `steps` is an s-t path of g whose edges and vertices are all
+/// alive under `view`, each step naming an edge between its endpoints.
+bool valid_path(const Graph& g, VertexId s, VertexId t,
+                const std::vector<PathStep>& steps, const FaultView& view) {
+  if (steps.empty() || steps.front().to != s || steps.back().to != t ||
+      steps.front().edge != kInvalidEdge)
+    return false;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (!view.vertex_alive(steps[i].to)) return false;
+    if (i == 0) continue;
+    const EdgeId e = steps[i].edge;
+    if (e >= g.m() || !view.edge_alive(e)) return false;
+    const Edge& edge = g.edge(e);
+    const VertexId a = steps[i - 1].to, b = steps[i].to;
+    if (!((edge.u == a && edge.v == b) || (edge.u == b && edge.v == a)))
+      return false;
+  }
+  return true;
+}
+
+TEST(Bfs, TwoEndedSourceEqualsTarget) {
+  const Graph g = path_graph(3);
+  BfsRunner bfs;
+  std::vector<PathStep> out;
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 1, 1, out), 0u);
+  EXPECT_EQ(out, (std::vector<PathStep>{{1, kInvalidEdge}}));
+  Mask dead(3);
+  dead.set(1);
+  out.clear();
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 1, 1, out, make_fault_view(&dead, nullptr)),
+            kUnreachableHops);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(Bfs, TwoEndedAdjacentVertices) {
+  const Graph g = path_graph(4);  // edges 0-1 (0), 1-2 (1), 2-3 (2)
+  BfsRunner bfs;
+  std::vector<PathStep> out;
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 2, 1, out), 1u);
+  EXPECT_EQ(out, (std::vector<PathStep>{{2, kInvalidEdge}, {1, 1}}));
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 3, out), 3u);
+  EXPECT_TRUE(valid_path(g, 0, 3, out, {}));
+}
+
+TEST(Bfs, TwoEndedUnreachableLeavesOutUntouched) {
+  Graph g(6);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 4);
+  g.add_edge(4, 5);
+  BfsRunner bfs;
+  const std::vector<PathStep> sentinel{{9, 9}};
+  std::vector<PathStep> out = sentinel;
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 5, out), kUnreachableHops);
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 5, 0, out), kUnreachableHops);
+  EXPECT_EQ(out, sentinel);
+}
+
+TEST(Bfs, TwoEndedRespectsEdgeAndVertexMasks) {
+  const Graph g = cycle_graph(8);  // edge i joins i and i+1 (mod 8)
+  BfsRunner bfs;
+  std::vector<PathStep> out;
+  Mask edges(g.m());
+  edges.set(0);  // 0-1 fails: 0 reaches 1 the long way round
+  const FaultView ev = make_fault_view(nullptr, &edges);
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 1, out, ev), 7u);
+  EXPECT_TRUE(valid_path(g, 0, 1, out, ev));
+  Mask verts(g.n());
+  verts.set(7);  // and with vertex 7 down, not at all
+  const FaultView both = make_fault_view(&verts, &edges);
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 1, out, both), kUnreachableHops);
+  const FaultView vv = make_fault_view(&verts, nullptr);
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 6, out, vv), 6u);
+  EXPECT_TRUE(valid_path(g, 0, 6, out, vv));
+}
+
+TEST(Bfs, TwoEndedMatchesHopDistanceOnRandomGraphs) {
+  Rng rng(4242);
+  BfsRunner two;  // one runner across graphs and masks: stamps must not leak
+  BfsRunner one;
+  std::vector<PathStep> out;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Graph g = gnp(30 + rng.next_below(30), 0.04 + 0.1 * rng.next_double(), rng);
+    Mask verts(g.n());
+    Mask edges(g.m());
+    const int shape = trial % 4;  // none, vertices, edges, both
+    for (VertexId v = 0; v < g.n(); ++v)
+      if ((shape & 1) != 0 && rng.next_bool(0.1)) verts.set(v);
+    for (EdgeId e = 0; e < g.m(); ++e)
+      if ((shape & 2) != 0 && rng.next_bool(0.2)) edges.set(e);
+    const FaultView view = make_fault_view((shape & 1) != 0 ? &verts : nullptr,
+                                           (shape & 2) != 0 ? &edges : nullptr);
+    for (int q = 0; q < 20; ++q) {
+      const auto s = static_cast<VertexId>(rng.next_below(g.n()));
+      const auto t = static_cast<VertexId>(rng.next_below(g.n()));
+      const std::uint32_t want = one.hop_distance(g, s, t, view);
+      const std::uint32_t got = two.two_ended_path_arcs(g, s, t, out, view);
+      ASSERT_EQ(got, want) << "trial " << trial << " " << s << "->" << t;
+      if (got == kUnreachableHops) continue;
+      ASSERT_EQ(out.size(), got + 1u);
+      ASSERT_TRUE(valid_path(g, s, t, out, view))
+          << "trial " << trial << " " << s << "->" << t;
+    }
+  }
+}
+
 // -------------------------------------------------------------- Dijkstra
 
 Graph weighted_diamond() {

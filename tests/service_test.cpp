@@ -4,9 +4,9 @@
 // modified_greedy_spanner rebuild passes (picks need NOT match; the
 // verifier's report must).  Plus the service-layer contracts: update
 // argument errors, resurrect semantics, epoch publishing and the shared
-// mesh behind it, the search copy of H, the staleness budget, readers
-// racing the updater, and the ftspand framed protocol over a loopback
-// socket.
+// mesh behind it, the search copy of H, snapshot routes against the
+// masked search, the staleness budget, readers racing the updater, and the
+// ftspand framed protocol over a loopback socket.
 
 #include <gtest/gtest.h>
 
@@ -398,13 +398,92 @@ TEST(ChurnSpanner, SearchGraphHoldsExactlyTheSpannerAfterEveryUpdate) {
   }
 }
 
+/// True when consecutive vertices of `path` are joined by live H edges of
+/// `snap` (G is simple, so the pair names one edge).
+bool uses_live_spanner_edges(const ChurnSnapshot& snap,
+                             const std::vector<VertexId>& path) {
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const auto e = snap.graph.find_edge(path[i - 1], path[i]);
+    if (!e || snap.blocked[*e] != 0) return false;
+  }
+  return true;
+}
+
+TEST(ChurnSpanner, SnapshotRouteMatchesTheMaskedSearch) {
+  // snapshot_route searches G under spanner_view() until a snapshot's
+  // routes have paid for its compact H, then that H.  On both sides of the
+  // switch, for both fault models and weighted and unweighted meshes, each
+  // route's hop count and cost must equal the one-ended search over G
+  // under spanner_view(), and its path must use only live H edges.
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+    for (const bool weighted : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "model=" << to_string(model)
+                                        << " weighted=" << weighted);
+      Rng rng(weighted ? 515 : 514);
+      Graph start = gnp(48, 0.12, rng);
+      if (weighted) start = with_uniform_weights(start, 1.0, 8.0, rng);
+      const std::size_t n = start.n();
+      EdgeMirror mirror(start);
+      ChurnConfig config;
+      config.params = SpannerParams{.k = 2, .f = 1, .model = model};
+      config.rebuild_budget = 0;
+      config.publish_every = 1;
+      ChurnSpanner engine(std::move(start), config);
+      ChurnStream churn(engine, mirror, weighted);
+      BfsRunner bfs(n), ref_bfs(n);
+      DijkstraRunner dij(n), ref_dij(n);
+      Route route;
+      std::vector<PathStep> ref;
+      for (int epoch = 0; epoch < 6; ++epoch) {
+        for (int i = 0; i < 12; ++i) churn.step(rng);
+        const auto snap = engine.snapshot();
+        const Graph& g = snap->graph;
+        const FaultView view = snap->spanner_view();
+        std::size_t masked = 0, compact = 0;
+        for (int q = 0; compact < 40; ++q) {
+          ASSERT_LT(q, 10000) << "the routes never paid for the compact H";
+          const auto u = static_cast<VertexId>(rng.next_below(n));
+          const auto v = static_cast<VertexId>(rng.next_below(n));
+          ++(snap->compact_spanner() != nullptr ? compact : masked);
+          const bool want = weighted
+                                ? ref_dij.shortest_path_arcs(g, u, v, ref, view)
+                                : ref_bfs.shortest_path_arcs(g, u, v, ref, view);
+          ASSERT_EQ(snapshot_route(*snap, bfs, dij, u, v, route), want)
+              << u << "->" << v;
+          if (!want) {
+            EXPECT_TRUE(route.path.empty());
+            continue;
+          }
+          Weight cost = 0.0;
+          for (std::size_t i = 1; i < ref.size(); ++i) cost += g.edge(ref[i].edge).w;
+          EXPECT_EQ(route.hops(), ref.size() - 1) << u << "->" << v;
+          EXPECT_EQ(route.cost, cost) << u << "->" << v;
+          EXPECT_EQ(route.path.front(), u);
+          EXPECT_EQ(route.path.back(), v);
+          EXPECT_TRUE(uses_live_spanner_edges(*snap, route.path))
+              << u << "->" << v;
+        }
+        EXPECT_GT(masked, 0u);
+        const Graph* h = snap->compact_spanner();
+        ASSERT_NE(h, nullptr);
+        EXPECT_EQ(h->m(), snap->spanner_m);
+        const Graph want = engine.spanner_graph();
+        EXPECT_TRUE(std::equal(h->edges().begin(), h->edges().end(),
+                               want.edges().begin(), want.edges().end()));
+      }
+    }
+  }
+}
+
 TEST(ChurnSpanner, ReadersRouteOnSnapshotsWhileTheUpdaterAppends) {
   // Readers route and measure on whatever snapshot they hold while the
   // updater appends new pairs (so publishes copy the mesh), removes H edges
-  // and rebuilds.  Every answer must be a
+  // and rebuilds; their routes pay for and build the compact H of the
+  // snapshots they share.  Every answer must be a
   // valid path in, and consistent with, the snapshot it came from; under
   // ThreadSanitizer this also checks that sharing one Graph between the
-  // updater and the readers is race-free.
+  // updater and the readers, and one reader's H build with the others, is
+  // race-free.
   Rng rng(77);
   Graph start = gnp(40, 0.15, rng);
   const std::size_t n = start.n();
@@ -418,6 +497,7 @@ TEST(ChurnSpanner, ReadersRouteOnSnapshotsWhileTheUpdaterAppends) {
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> answers{0};
+  std::atomic<std::uint64_t> compact_answers{0};
   std::atomic<std::uint64_t> bad{0};
   std::vector<std::thread> readers;
   for (std::uint64_t r = 0; r < 3; ++r) {
@@ -425,31 +505,31 @@ TEST(ChurnSpanner, ReadersRouteOnSnapshotsWhileTheUpdaterAppends) {
       Rng qrng(1000 + r);
       BfsRunner bfs(n);
       DijkstraRunner dij(n);
-      std::vector<PathStep> path;
+      Route route;
+      int after_done = 0;
       do {
         const auto snap = engine.snapshot();
-        const Graph& g = snap->graph;
         const auto u = static_cast<VertexId>(qrng.next_below(n));
         const auto v = static_cast<VertexId>((u + 1 + qrng.next_below(n - 1)) % n);
         const Weight mesh = snapshot_distance(*snap, dij, u, v, snap->mesh_view());
         const Weight span =
             snapshot_distance(*snap, dij, u, v, snap->spanner_view());
         bool ok = span >= mesh && (mesh == kUnreachableWeight || span <= t * mesh);
-        if (bfs.shortest_path_arcs(g, u, v, path, snap->spanner_view())) {
-          ok = ok && path.front().to == u && path.back().to == v &&
-               static_cast<Weight>(path.size() - 1) == span;
-          for (std::size_t i = 1; ok && i < path.size(); ++i) {
-            const EdgeId e = path[i].edge;
-            ok = e < g.m() && snap->blocked[e] == 0 &&
-                 ordered(g.edge(e).u, g.edge(e).v) ==
-                     ordered(path[i - 1].to, path[i].to);
-          }
+        if (snap->compact_spanner() != nullptr) compact_answers.fetch_add(1);
+        if (snapshot_route(*snap, bfs, dij, u, v, route)) {
+          ok = ok && route.path.front() == u && route.path.back() == v &&
+               static_cast<Weight>(route.hops()) == span && route.cost == span &&
+               uses_live_spanner_edges(*snap, route.path);
         } else {
           ok = ok && span == kUnreachableWeight;
         }
         if (!ok) bad.fetch_add(1);
         answers.fetch_add(1);
-      } while (!done.load());
+        // Keep routing on the last snapshot until some answer came from a
+        // built H, however the threads were scheduled; its routes pay for
+        // one long before the cap.
+      } while (!done.load() ||
+               (compact_answers.load() == 0 && ++after_done < 10000));
     });
   }
 
@@ -466,7 +546,8 @@ TEST(ChurnSpanner, ReadersRouteOnSnapshotsWhileTheUpdaterAppends) {
   done.store(true);
   for (auto& reader : readers) reader.join();
   EXPECT_EQ(bad.load(), 0u) << "of " << answers.load() << " answers";
-  EXPECT_GT(answers.load(), 0u);
+  EXPECT_GT(answers.load(), compact_answers.load());
+  EXPECT_GT(compact_answers.load(), 0u);
   EXPECT_GT(churn.h_removals, 0u);
 }
 
