@@ -15,8 +15,8 @@
 // thread.  f >= 1 rows remain fully supported at the smaller scales (the
 // nightly sweep runs one).
 //
-// Writes BENCH_e16_scale.json; tools/check_perf_floor.py --e16 gates the CI
-// perf lane on the checked-in seconds + max_peak_rss_mb floors
+// Writes BENCH_e16_scale.json; `tools/check_perf_floor.py --section e16`
+// gates the CI perf lane on the checked-in seconds + max_peak_rss_mb floors
 // (bench/ci_perf_floor.json, "e16" entries).
 
 #include <algorithm>

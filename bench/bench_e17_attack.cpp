@@ -12,23 +12,20 @@
 // column, whether or not H still connects the pair); the paper's modified
 // greedy must stay within 2k-1 on every cell at f=1..f (that is the CI pin).
 //
-// Writes BENCH_e17_attack.json; tools/check_perf_floor.py --e17 gates the
-// CI smoke run by pinning max_stretch / disconnected_trials / spanner_m per
-// seeded config (bench/ci_perf_floor.json, "e17" entries).
+// Writes BENCH_e17_attack.json; `tools/check_perf_floor.py --section e17`
+// pins max_stretch / disconnected_trials / spanner_m per seeded config
+// (bench/ci_perf_floor.json, "e17" entries), and the e17_pins ctest case
+// runs both.  The storm protocol per cell is shootout.h's, shared with E13.
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "shootout.h"
 #include "core/modified_greedy.h"
-#include "fault/attack.h"
 #include "fault/scenario.h"
-#include "fault/verifier.h"
 #include "spanner/add93_greedy.h"
 #include "spanner/baswana_sen.h"
 #include "spanner/dk11.h"
@@ -36,84 +33,8 @@
 namespace {
 
 using namespace ftspan;
-
-struct CellResult {
-  std::string algo;
-  std::string model;
-  std::string scenario;
-  std::size_t n = 0;
-  std::size_t m = 0;
-  std::uint32_t f = 0;
-  std::uint32_t k = 0;
-  std::uint32_t trials = 0;
-  std::size_t spanner_m = 0;
-  double p50_stretch = 0.0;       // inf -> null in JSON
-  double max_stretch = 0.0;       // inf -> null in JSON
-  std::uint64_t disconnected_trials = 0;
-  bool ok = false;
-  double seconds = 0.0;
-};
-
-/// Draws the storm for one cell ("uniform" = the attack.h baseline mix of
-/// plain uniform draws; otherwise a FaultScenario stream) and verifies it,
-/// keeping per-trial reports for the percentile columns.
-CellResult run_cell(const Graph& g, const Graph& h, const SpannerParams& params,
-                    const std::string& scenario, const ScenarioSpec& spec,
-                    std::uint32_t trials, std::uint64_t seed) {
-  CellResult out;
-  out.scenario = scenario;
-  out.model = to_string(params.model);
-  out.n = g.n();
-  out.m = g.m();
-  out.f = params.f;
-  out.k = params.k;
-  out.trials = trials;
-  out.spanner_m = h.m();
-
-  Rng rng(seed);
-  std::vector<FaultSet> sets;
-  sets.reserve(std::size_t{trials} + 1);
-  sets.push_back(FaultSet{params.model, {}});
-  const Timer timer;
-  if (scenario == "uniform") {
-    for (std::uint32_t trial = 0; trial < trials; ++trial)
-      sets.push_back(generate_attack(g, h, params.model, params.f,
-                                     AttackStrategy::uniform, rng));
-  } else {
-    FaultScenario stream(g, h, params, spec);
-    for (std::uint32_t trial = 0; trial < trials; ++trial)
-      sets.push_back(stream.draw(trial, rng));
-  }
-  std::vector<StretchReport> per_set;
-  const StretchReport report =
-      verify_fault_sets(g, h, params, sets, ExecPolicy{}, &per_set);
-  out.seconds = timer.seconds();
-  out.ok = report.ok;
-  out.max_stretch = report.max_stretch;
-
-  // Percentile over the storm trials (index 0 is the empty set).
-  std::vector<double> stretches;
-  stretches.reserve(trials);
-  for (std::size_t i = 1; i < per_set.size(); ++i) {
-    stretches.push_back(per_set[i].max_stretch);
-    if (std::isinf(per_set[i].max_stretch)) ++out.disconnected_trials;
-  }
-  if (!stretches.empty()) {
-    std::sort(stretches.begin(), stretches.end());
-    out.p50_stretch = stretches[stretches.size() / 2];
-  }
-  return out;
-}
-
-/// inf has no JSON literal: emit null and let disconnected_trials carry the
-/// signal (the gate pins both).
-std::string json_number(double value) {
-  if (std::isinf(value) || std::isnan(value)) return "null";
-  std::ostringstream os;
-  os.precision(17);
-  os << value;
-  return os.str();
-}
+using bench::CellResult;
+using bench::json_number;
 
 bool write_json(const std::string& path, const std::vector<CellResult>& cells) {
   std::ofstream out(path);
@@ -133,10 +54,6 @@ bool write_json(const std::string& path, const std::vector<CellResult>& cells) {
   }
   out << "]\n";
   return out.flush().good();
-}
-
-std::string stretch_cell(double value) {
-  return std::isinf(value) ? "viol" : Table::num(value, 2);
 }
 
 }  // namespace
@@ -199,12 +116,12 @@ int main(int argc, char** argv) {
         spec.ball_radius = radius;
         spec.coords = coords;
         CellResult cell =
-            run_cell(g, build.h, params, name, spec, trials,
+            bench::run_cell(g, build.h, params, name, spec, trials,
                      seed + 100 * (model == FaultModel::edge));
         cell.algo = build.name;
         table.add_row({cell.algo, Table::num(cell.spanner_m), cell.scenario,
-                       stretch_cell(cell.p50_stretch),
-                       stretch_cell(cell.max_stretch),
+                       bench::stretch_cell(cell.p50_stretch),
+                       bench::stretch_cell(cell.max_stretch),
                        Table::num(static_cast<long long>(
                            cell.disconnected_trials)),
                        cell.ok ? "yes" : "no"});

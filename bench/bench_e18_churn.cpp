@@ -18,7 +18,7 @@
 //     from a spanner that stopped being one is worthless.
 //
 // Wall-clock floors are deliberately absent: the CI gate
-// (tools/check_perf_floor.py --e18) checks the machine-independent
+// (tools/check_perf_floor.py --section e18) checks the machine-independent
 // invariants (checkpoints_ok, speedup ratio, workload minimums) only.
 //
 // Writes BENCH_e18_churn.json (schema in bench/README.md).

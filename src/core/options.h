@@ -7,10 +7,6 @@
 #include "graph/types.h"
 #include "util/check.h"
 
-namespace ftspan::exec {
-class ThreadPool;  // src/exec/thread_pool.h
-}  // namespace ftspan::exec
-
 namespace ftspan {
 
 /// Order in which the greedy algorithms scan the edges of G.
@@ -32,12 +28,10 @@ enum class EdgeOrder : std::uint8_t {
 /// keep threads = 1).
 struct ExecPolicy {
   /// Worker threads the engine may use (the calling thread counts as one).
-  /// 1 = sequential; 0 = one worker per hardware thread.
+  /// 1 = sequential; 0 = one worker per hardware thread.  Workers come from
+  /// one process-wide pool, grown on demand; engines never spawn a private
+  /// pool per call.
   std::uint32_t threads = 1;
-  /// Pool the engine fans work over.  nullptr = the process-wide shared pool
-  /// (exec::shared_pool()), grown on demand; engines never spawn a private
-  /// pool per call.  Set to run against a caller-owned exec::ThreadPool.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Parameters of an f-fault-tolerant (2k-1)-spanner construction.

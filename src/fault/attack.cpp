@@ -127,6 +127,16 @@ FaultSet attack_detour_hitting(const Graph& g, const Graph& h, FaultModel model,
                                std::uint32_t count, Rng& rng) {
   if (g.m() == 0) return attack_uniform(g, model, count, rng);
   const auto& pivot = g.edge(static_cast<EdgeId>(rng.next_below(g.m())));
+  return detour_hitting_at(g, h, model, count, pivot.u, pivot.v, rng);
+}
+
+}  // namespace
+
+FaultSet detour_hitting_at(const Graph& g, const Graph& h, FaultModel model,
+                           std::uint32_t count, VertexId pu, VertexId pv,
+                           Rng& rng) {
+  FTSPAN_REQUIRE(h.n() == g.n(), "spanner must share G's vertex set");
+  FTSPAN_REQUIRE(pu < g.n() && pv < g.n(), "detour pair out of range");
   // Repeatedly kill the current shortest u-v detour in H (Algorithm 2's
   // path-hitting move, aimed at the verifier's hardest pair).  The search
   // runs on g with the non-spanner edges masked out — the identical edge set
@@ -146,7 +156,7 @@ FaultSet attack_detour_hitting(const Graph& g, const Graph& h, FaultModel model,
     const FaultView view = model == FaultModel::vertex
                                ? FaultView{vmask.bytes(), emask.bytes()}
                                : FaultView{{}, emask.bytes()};
-    if (!bfs.shortest_path_arcs(g, pivot.u, pivot.v, path, view)) break;
+    if (!bfs.shortest_path_arcs(g, pu, pv, path, view)) break;
     bool progressed = false;
     if (model == FaultModel::vertex) {
       for (std::size_t i = 1; i + 1 < path.size() && out.ids.size() < count; ++i) {
@@ -171,8 +181,8 @@ FaultSet attack_detour_hitting(const Graph& g, const Graph& h, FaultModel model,
   ScratchMask used(universe);
   for (const auto id : out.ids) used.set(id);
   if (model == FaultModel::vertex) {
-    used.set(pivot.u);
-    used.set(pivot.v);
+    used.set(pu);
+    used.set(pv);
   }
   while (out.ids.size() < count && used.touched().size() < universe) {
     const auto id = static_cast<std::uint32_t>(rng.next_below(universe));
@@ -183,8 +193,6 @@ FaultSet attack_detour_hitting(const Graph& g, const Graph& h, FaultModel model,
   }
   return out;
 }
-
-}  // namespace
 
 FaultSet generate_attack(const Graph& g, const Graph& h, FaultModel model,
                          std::uint32_t count, AttackStrategy strategy, Rng& rng) {

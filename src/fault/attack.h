@@ -48,6 +48,16 @@ enum class AttackStrategy : std::uint8_t {
                                        FaultModel model, std::uint32_t count,
                                        AttackStrategy strategy, Rng& rng);
 
+/// detour_hitting aimed at a given pair (pu, pv) instead of a random pivot
+/// edge: repeatedly faults the interior (vertex model) or the edges (edge
+/// model) of the current shortest pu-pv path through H, then pads with
+/// uniform draws, never pu or pv.  generate_attack's detour_hitting is this
+/// with a random G-edge as the pair; the adaptive scenario
+/// (fault/scenario.h) aims it at its incumbent's worst witness pair.
+[[nodiscard]] FaultSet detour_hitting_at(const Graph& g, const Graph& h,
+                                         FaultModel model, std::uint32_t count,
+                                         VertexId pu, VertexId pv, Rng& rng);
+
 /// Cycles deterministically through all strategies: trial i uses strategy
 /// i mod 4.  This is the mix verify_sampled uses.
 [[nodiscard]] FaultSet generate_mixed_attack(const Graph& g, const Graph& h,

@@ -18,65 +18,6 @@ namespace {
 /// unit-square corners (radius sqrt(2) must include a corner vertex).
 constexpr double kBallTolerance = 1e-12;
 
-/// Detour-hitting aimed at a *given* pair instead of a random pivot edge:
-/// repeatedly kills the interior (vertex model) or the arcs (edge model) of
-/// the current shortest u-v path through H, then pads uniformly.  This is
-/// attack.h's detour_hitting with the pivot chosen by the adaptive adversary
-/// — it aims at the incumbent's worst witness pair.
-FaultSet detour_hitting_at(const Graph& g, const Graph& h, FaultModel model,
-                           std::uint32_t count, VertexId pu, VertexId pv,
-                           Rng& rng) {
-  BfsRunner bfs;
-  ScratchMask vmask(static_cast<std::uint32_t>(g.n()));
-  ScratchMask emask(static_cast<std::uint32_t>(g.m()));
-  for (EdgeId id = 0; id < g.m(); ++id) {
-    const auto& e = g.edge(id);
-    if (!h.has_edge(e.u, e.v)) emask.set(id);
-  }
-  FaultSet out{model, {}};
-  std::vector<PathStep> path;
-  while (out.ids.size() < count) {
-    const FaultView view = model == FaultModel::vertex
-                               ? FaultView{vmask.bytes(), emask.bytes()}
-                               : FaultView{{}, emask.bytes()};
-    if (!bfs.shortest_path_arcs(g, pu, pv, path, view)) break;
-    bool progressed = false;
-    if (model == FaultModel::vertex) {
-      for (std::size_t i = 1; i + 1 < path.size() && out.ids.size() < count;
-           ++i) {
-        if (vmask.test(path[i].to)) continue;
-        vmask.set(path[i].to);
-        out.ids.push_back(path[i].to);
-        progressed = true;
-      }
-    } else {
-      for (std::size_t i = 1; i < path.size() && out.ids.size() < count; ++i) {
-        if (emask.test(path[i].edge)) continue;
-        emask.set(path[i].edge);
-        out.ids.push_back(path[i].edge);
-        progressed = true;
-      }
-    }
-    if (!progressed) break;
-  }
-  const auto universe =
-      static_cast<std::uint32_t>(model == FaultModel::vertex ? g.n() : g.m());
-  ScratchMask used(universe);
-  for (const auto id : out.ids) used.set(id);
-  if (model == FaultModel::vertex) {
-    used.set(pu);
-    used.set(pv);
-  }
-  while (out.ids.size() < count && used.touched().size() < universe) {
-    const auto id = static_cast<std::uint32_t>(rng.next_below(universe));
-    if (!used.test(id)) {
-      used.set(id);
-      out.ids.push_back(id);
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::optional<ScenarioKind> parse_scenario_kind(std::string_view name) noexcept {

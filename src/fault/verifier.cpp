@@ -240,8 +240,7 @@ StretchReport verify_fault_sets(const Graph& g, const Graph& h,
     std::vector<std::unique_ptr<PairChecker>> checkers(threads);
     for (auto& checker : checkers)
       checker = std::make_unique<PairChecker>(g, h, params);
-    exec::ThreadPool& pool =
-        exec.pool != nullptr ? *exec.pool : exec::shared_pool();
+    exec::ThreadPool& pool = exec::shared_pool();
     pool.ensure_workers(threads);
     pool.run(
         sets.size(),

@@ -81,9 +81,9 @@ struct StretchReport {
 /// counted as full-strength coverage.
 ///
 /// Trials are independent, so `exec.threads` > 1 (or 0 = auto) fans them
-/// over the shared worker pool (exec::shared_pool(), or exec.pool): fault
-/// sets are drawn from `rng` sequentially up front and per-trial reports are
-/// folded in trial order, so the report — including the worst witness — is
+/// over the shared worker pool (exec::shared_pool()): fault sets are drawn
+/// from `rng` sequentially up front and per-trial reports are folded in
+/// trial order, so the report — including the worst witness — is
 /// bit-identical at any thread count.  trials + 1 check_fault_set calls of
 /// work either way.
 [[nodiscard]] StretchReport verify_sampled(const Graph& g, const Graph& h,

@@ -27,16 +27,16 @@ constexpr std::uint64_t pair_key(VertexId u, VertexId v) noexcept {
   return (hi << 32) | lo;
 }
 
-void validate_edge(std::size_t n, VertexId u, VertexId v, Weight w,
-                   bool weighted) {
+}  // namespace
+
+void Graph::validate_edge(std::size_t n, VertexId u, VertexId v, Weight w,
+                          bool weighted) {
   FTSPAN_REQUIRE(u < n && v < n, "edge endpoint out of range");
   FTSPAN_REQUIRE(u != v, "self-loops are not allowed");
   FTSPAN_REQUIRE(std::isfinite(w) && w >= 0.0,
                  "edge weight must be finite and >= 0");
   FTSPAN_REQUIRE(weighted || w == 1.0, "unweighted graph requires weight 1");
 }
-
-}  // namespace
 
 Graph::Graph(std::size_t n, bool weighted) : rows_(n), weighted_(weighted) {}
 

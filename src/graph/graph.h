@@ -72,6 +72,13 @@ class Graph {
   /// of a simple graph is simple, so the duplicate sort is skipped.
   static Graph from_unmasked(const Graph& g, std::span<const std::uint8_t> mask);
 
+  /// Throws std::invalid_argument unless {u,v} with weight w may join a
+  /// graph on n vertices: endpoints in range, u != v, w finite and >= 0,
+  /// and w == 1 when the graph is unweighted.  add_edge and from_edges check
+  /// every edge with it; a parser calls it per row to name the bad line.
+  static void validate_edge(std::size_t n, VertexId u, VertexId v, Weight w,
+                            bool weighted);
+
   [[nodiscard]] std::size_t n() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t m() const noexcept { return edges_.size(); }
   [[nodiscard]] bool weighted() const noexcept { return weighted_; }

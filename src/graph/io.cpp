@@ -1,10 +1,14 @@
 #include "graph/io.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
+#include <vector>
 
 namespace ftspan {
 
@@ -53,6 +57,16 @@ struct LineReader {
   }
 };
 
+/// Index of the first edge whose endpoint pair an earlier edge of `edges`
+/// already joins; the list must hold such a repeat.
+std::size_t first_repeat(const std::vector<Edge>& edges) {
+  std::unordered_set<std::uint64_t> seen;
+  for (std::size_t i = 0;; ++i) {
+    const auto [lo, hi] = std::minmax(edges[i].u, edges[i].v);
+    if (!seen.insert(std::uint64_t{hi} << 32 | lo).second) return i;
+  }
+}
+
 Graph read_edge_list_from(LineReader& reader) {
   static const std::string kFormat = "ftspan edge list";
   std::istringstream header(reader.require(kFormat, "the header"));
@@ -64,8 +78,12 @@ Graph read_edge_list_from(LineReader& reader) {
                                 std::to_string(reader.line_no));
 
   const bool weighted = mode == "weighted";
-  Graph g(n, weighted);
-  g.reserve_edges(m);
+  // The rows are collected and the adjacency built once, exact-fit
+  // (Graph::from_edges).  add_edge per row would relocate each row as it
+  // fills, leaving an arc array of 2-4x the 2m arcs, holes included, grown
+  // through buffers of up to 8x: memory every copy of the graph inherits.
+  std::vector<Edge> edges;
+  edges.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
     std::istringstream row(reader.require(
         kFormat, "edge " + std::to_string(i + 1) + " of " + std::to_string(m)));
@@ -75,14 +93,24 @@ Graph read_edge_list_from(LineReader& reader) {
       throw std::invalid_argument(kFormat + ": bad edge on line " +
                                   std::to_string(reader.line_no));
     try {
-      g.add_edge(u, v, w);
+      Graph::validate_edge(n, u, v, w, weighted);
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument(kFormat + ": line " +
                                   std::to_string(reader.line_no) + ": " +
                                   e.what());
     }
+    edges.push_back(Edge{u, v, w});
   }
-  return g;
+  try {
+    return Graph::from_edges(n, edges, weighted);
+  } catch (const std::invalid_argument& e) {
+    // Every row passed validate_edge, so the list repeats an endpoint pair.
+    const std::size_t i = first_repeat(edges);
+    throw std::invalid_argument(
+        kFormat + ": edge " + std::to_string(i + 1) + " of " +
+        std::to_string(m) + " (" + std::to_string(edges[i].u) + " " +
+        std::to_string(edges[i].v) + "): " + e.what());
+  }
 }
 
 std::vector<Point> read_points_from(LineReader& reader) {

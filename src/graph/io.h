@@ -20,7 +20,8 @@ namespace ftspan {
 void write_edge_list(std::ostream& os, const Graph& g);
 
 /// Parses a graph in the ftspan edge-list format; throws
-/// std::invalid_argument on malformed input.
+/// std::invalid_argument on malformed input.  The result is laid out like
+/// Graph::from_edges over the rows in file order: exact-fit rows, 2m arcs.
 [[nodiscard]] Graph read_edge_list(std::istream& is);
 
 /// Writes vertex coordinates (one Point per vertex, same order as the
@@ -37,7 +38,8 @@ void write_points(std::ostream& os, const std::vector<Point>& points);
 
 /// Convenience file wrappers; throw std::runtime_error when the file cannot
 /// be opened or the stream fails mid-read, and std::invalid_argument — with
-/// the path and the offending physical line number — on malformed content.
+/// the path and the offending physical line number, or for a repeated edge
+/// its row index and endpoints — on malformed content.
 /// The file loaders are stricter than the stream readers: content lines
 /// after the declared record count are rejected (a count smaller than the
 /// data would otherwise load a silently partial graph), while read_edge_list

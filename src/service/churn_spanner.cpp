@@ -343,25 +343,12 @@ Graph ChurnSpanner::spanner_graph() const {
 }
 
 OracleReport ChurnSpanner::oracle_check(std::uint32_t trials, Rng& rng,
-                                        const ExecPolicy& exec,
-                                        bool compare_oracle) {
+                                        const ExecPolicy& exec) {
   obs::ScopedSpan span("service", "churn.oracle_check");
   OracleReport out;
-  Graph live = live_graph();
-  const Graph h = spanner_graph();
-  out.report = verify_sampled(live, h, config_.params, trials, rng, exec);
+  out.report = verify_sampled(live_graph(), spanner_graph(), config_.params,
+                              trials, rng, exec);
   out.maintained_m = spanner_m_;
-  if (compare_oracle) {
-    auto build =
-        modified_greedy_spanner(live, config_.params, config_.rebuild);
-    out.oracle_m = build.picked.size();
-    if (config_.size_slack > 0.0 &&
-        static_cast<double>(out.maintained_m) >
-            config_.size_slack * static_cast<double>(out.oracle_m)) {
-      adopt_build(std::move(live), std::move(build));
-      out.rebuilt = true;
-    }
-  }
   return out;
 }
 

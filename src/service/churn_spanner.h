@@ -35,9 +35,8 @@
 // Incremental maintenance preserves correctness but not the greedy's size
 // bound (churn order is not weight order), so a full modified-greedy
 // rebuild remains the correctness-and-quality oracle: the staleness budget
-// (updates_since_rebuild and/or a size-slack factor versus a fresh oracle
-// build) bounds how far the maintained H may drift before the service
-// re-anchors it.
+// (updates since the last rebuild) bounds how far the maintained H may
+// drift before the service re-anchors it.
 //
 // The updater searches H itself, as Algorithm 1 runs Algorithm 2 on the
 // spanner built so far: it keeps H as its own append-only graph (edges that
@@ -86,10 +85,6 @@ struct ChurnConfig {
   /// re-anchors itself with a modified-greedy rebuild (0 = never rebuild
   /// automatically; the oracle is still available via rebuild()).
   std::uint32_t rebuild_budget = 4096;
-  /// Maintained-size slack versus a fresh oracle build: when an
-  /// oracle_check() measures maintained_m > size_slack * oracle_m, the
-  /// engine rebuilds.  0 disables the size leg of the staleness contract.
-  double size_slack = 0.0;
   /// Updates per epoch publish (>= 1).  Readers observe state at most this
   /// many updates old between publishes; flush()/rebuild() publish eagerly.
   std::uint32_t publish_every = 8;
@@ -190,12 +185,10 @@ struct UpdateResult {
 };
 
 /// Result of an oracle check: the maintained H verified against the live
-/// mesh, with a fresh greedy rebuild as the size yardstick.
+/// mesh.
 struct OracleReport {
   StretchReport report;        ///< verify_sampled of the MAINTAINED spanner
   std::size_t maintained_m = 0;
-  std::size_t oracle_m = 0;    ///< size of the fresh modified-greedy build
-  bool rebuilt = false;        ///< the size-slack leg triggered a rebuild
 };
 
 class ChurnSpanner {
@@ -233,12 +226,9 @@ class ChurnSpanner {
   [[nodiscard]] Graph spanner_graph() const;
 
   /// Verifies the MAINTAINED spanner against the live mesh with
-  /// verify_sampled.  With `compare_oracle`, additionally measures a fresh
-  /// modified-greedy build as the size yardstick and rebuilds when the
-  /// size-slack leg of the staleness budget trips (config().size_slack).
+  /// verify_sampled.
   OracleReport oracle_check(std::uint32_t trials, Rng& rng,
-                            const ExecPolicy& exec = {},
-                            bool compare_oracle = false);
+                            const ExecPolicy& exec = {});
 
   /// The graph decisions and repair waves search: H under its own edge ids,
   /// with search_view() masking the ids that have left H.  Its unmasked

@@ -1,11 +1,42 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace ftspan {
+
+namespace {
+
+/// Runs `parse` (parse_int or parse_finite below, which report how many
+/// characters they read) over `text`; an unparsable value, or one with
+/// characters left over, throws std::invalid_argument naming the flag.
+template <class Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* expects, Parse parse) {
+  std::size_t consumed = 0;
+  try {
+    const auto value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("--" + name + " expects " + expects +
+                              ", got '" + text + "'");
+}
+
+const auto parse_int = [](const std::string& text, std::size_t* consumed) {
+  return std::stoll(text, consumed);
+};
+
+const auto parse_finite = [](const std::string& text, std::size_t* consumed) {
+  const double value = std::stod(text, consumed);
+  if (!std::isfinite(value)) throw std::out_of_range("not finite");
+  return value;
+};
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   FTSPAN_REQUIRE(argc >= 1, "argc must include the program name");
@@ -35,24 +66,16 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(name, it->second, "an integer", parse_int);
 }
 
 std::uint64_t Cli::get_uint(const std::string& name,
                             std::uint64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::int64_t value = 0;
-  try {
-    std::size_t consumed = 0;
-    value = std::stoll(it->second, &consumed);
-    if (consumed != it->second.size())
-      throw std::invalid_argument("trailing characters");
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name +
-                                " expects a non-negative integer, got '" +
-                                it->second + "'");
-  }
+  const std::int64_t value =
+      parse_whole(name, it->second, "a non-negative integer", parse_int);
   if (value < 0)
     throw std::invalid_argument("--" + name + " must be non-negative, got " +
                                 it->second);
@@ -69,7 +92,8 @@ std::optional<std::string> Cli::unknown_flag(
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(name, it->second, "a finite number", parse_finite);
 }
 
 }  // namespace ftspan

@@ -29,7 +29,8 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
 
-  /// Value of --name as an integer, or `fallback` when absent.
+  /// Value of --name as an integer, or `fallback` when absent.  Throws
+  /// std::invalid_argument (naming the flag) unless the whole value parses.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
@@ -41,7 +42,9 @@ class Cli {
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t fallback) const;
 
-  /// Value of --name as a double, or `fallback` when absent.
+  /// Value of --name as a double, or `fallback` when absent.  Throws
+  /// std::invalid_argument (naming the flag) unless the whole value parses
+  /// to a finite number.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
   /// The first flag given on the command line (in name order) that is not

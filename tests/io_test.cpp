@@ -67,6 +67,31 @@ TEST(IoFiles, GraphRoundTripWeightedStaysExact) {
     EXPECT_DOUBLE_EQ(back.edge(i).w, g.edge(i).w);  // printed at 17 digits
 }
 
+TEST(IoFiles, LoadedGraphIsExactFitWithInsertionOrderRows) {
+  // The loader builds the adjacency once: its footprint is from_edges' (2m
+  // arcs, no relocation holes), not the up-to-4x of appending row by row,
+  // and every row lists its arcs in file order, as add_edge would.
+  Rng rng(7);
+  const Graph g = gnp(300, 0.1, rng);
+  const auto path = temp_path("exact_fit.graph");
+  save_graph(path, g);
+  const Graph back = load_graph(path);
+  EXPECT_EQ(back.memory_bytes(),
+            Graph::from_edges(g.n(), g.edges()).memory_bytes());
+  Graph appended(g.n());
+  for (const auto& e : g.edges()) appended.add_edge(e.u, e.v);
+  EXPECT_LT(back.memory_bytes(), appended.memory_bytes());
+  for (VertexId v = 0; v < g.n(); ++v) {
+    const auto want = appended.neighbors(v);
+    const auto got = back.neighbors(v);
+    ASSERT_EQ(got.size(), want.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].to, want[i].to) << "vertex " << v << " arc " << i;
+      EXPECT_EQ(got[i].edge, want[i].edge) << "vertex " << v << " arc " << i;
+    }
+  }
+}
+
 TEST(IoFiles, PointsRoundTripStaysExact) {
   Rng rng(7);
   std::vector<Point> pts;
@@ -129,6 +154,16 @@ TEST(IoFiles, OutOfRangeEndpointReportsLineNumber) {
   write_file(path, "ftspan 3 1 unweighted\n0 9\n");
   expect_throw_containing<std::invalid_argument>(
       [&] { (void)load_graph(path); }, {path, "line 2"});
+}
+
+TEST(IoFiles, RepeatedEdgeNamesRowAndEndpoints) {
+  // Repeats are found over the whole list once it is read, so the error
+  // names the repeating row by its index and endpoints.
+  const auto path = temp_path("repeat.graph");
+  write_file(path, "ftspan 4 3 unweighted\n0 1\n2 1\n1 0\n");
+  expect_throw_containing<std::invalid_argument>(
+      [&] { (void)load_graph(path); },
+      {path, "edge 3 of 3 (1 0)", "parallel edge"});
 }
 
 TEST(IoFiles, TrailingContentRejectedByLoader) {

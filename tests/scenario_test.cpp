@@ -140,6 +140,57 @@ TEST(Scenario, AdaptiveDominatesUniformOnSeededConfigs) {
   }
 }
 
+TEST(Scenario, DetourHittingDrawsMatchGolden) {
+  // generate_attack's detour_hitting and the adaptive adversary share one
+  // detour-hitting routine.  These ids were recorded before the two copies
+  // were merged: any change in the ids a draw picks, or in how many values
+  // it takes from the rng (`next` is the stream's following value), fails.
+  // On this graph attack seeds 1 and 4 draw a pivot outside H and seed 2
+  // one inside it, and the adaptive draw keeps a detour-hitting candidate.
+  Rng gen_rng(0x5eedULL);
+  const Graph g =
+      with_uniform_weights(gnp(40, 0.3, gen_rng), 1.0, 4.0, gen_rng);
+  const Graph h =
+      modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1}).spanner;
+  struct Golden {
+    FaultModel model;
+    std::uint64_t seed;
+    std::vector<std::uint32_t> ids;
+    std::uint64_t next;
+  };
+  const Golden attacks[] = {
+      {FaultModel::vertex, 1, {17, 34, 23, 4, 21}, 9600361134598540522ULL},
+      {FaultModel::vertex, 2, {29, 7, 27, 9, 25}, 4040804623166480017ULL},
+      {FaultModel::vertex, 4, {29, 1, 14, 32, 12}, 16814767001489736492ULL},
+      {FaultModel::edge, 1, {149, 154, 156, 179, 181}, 9600361134598540522ULL},
+      {FaultModel::edge, 2, {23, 29, 128, 20, 7}, 13383431742290777482ULL},
+      {FaultModel::edge, 4, {55, 210, 7, 9, 135}, 16814767001489736492ULL},
+  };
+  for (const auto& golden : attacks) {
+    Rng rng(golden.seed);
+    EXPECT_EQ(generate_attack(g, h, golden.model, 5,
+                              AttackStrategy::detour_hitting, rng)
+                  .ids,
+              golden.ids)
+        << to_string(golden.model) << " seed=" << golden.seed;
+    EXPECT_EQ(rng(), golden.next)
+        << to_string(golden.model) << " seed=" << golden.seed;
+  }
+  const Golden adaptive[] = {
+      {FaultModel::vertex, 3, {38, 2, 31}, 5596130926054517994ULL},
+      {FaultModel::edge, 3, {12, 167, 8}, 5596130926054517994ULL},
+  };
+  for (const auto& golden : adaptive) {
+    ScenarioSpec spec;
+    spec.kind = ScenarioKind::adaptive;
+    FaultScenario scenario(
+        g, h, SpannerParams{.k = 2, .f = 3, .model = golden.model}, spec);
+    Rng rng(golden.seed);
+    EXPECT_EQ(scenario.draw(0, rng).ids, golden.ids) << to_string(golden.model);
+    EXPECT_EQ(rng(), golden.next) << to_string(golden.model);
+  }
+}
+
 // ------------------------------------------------ metamorphic geo-ball
 
 TEST(Scenario, BallRadiusZeroFailsExactlyTheCenterVertex) {

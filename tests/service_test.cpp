@@ -584,10 +584,9 @@ TEST(ChurnSpanner, OracleCheckVerifiesMaintainedSpanner) {
   engine.remove(engine.snapshot()->graph.edge(0).u,
                 engine.snapshot()->graph.edge(0).v);
   Rng verify_rng(1);
-  const auto oracle = engine.oracle_check(16, verify_rng, {}, true);
+  const auto oracle = engine.oracle_check(16, verify_rng);
   EXPECT_TRUE(oracle.report.ok);
   EXPECT_EQ(oracle.maintained_m, engine.spanner_m());
-  EXPECT_GT(oracle.oracle_m, 0u);
 }
 
 // ----------------------------------------------------------- ftspand

@@ -215,6 +215,42 @@ TEST(Cli, GetUintRejectsGarbage) {
   EXPECT_THROW((void)cli.get_uint("m", 0), std::invalid_argument);
 }
 
+TEST(Cli, GetIntAndGetDoubleParseTheWholeValue) {
+  const char* argv[] = {"prog", "--n", "-3", "--p", "1e-3", "--w", " 0.5"};
+  const Cli cli(7, argv);
+  EXPECT_EQ(cli.get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("p", 0.0), 1e-3);
+  EXPECT_DOUBLE_EQ(cli.get_double("w", 0.0), 0.5);
+}
+
+TEST(Cli, GetIntAndGetDoubleRejectWhatDoesNotParseWhole) {
+  // std::stoll/std::stod stop at the first character they cannot read, so
+  // "--p 0.1x" used to run with 0.1 and "--reps 2x" with 2.  Leftover
+  // characters, empty values and non-finite doubles are loud errors that
+  // name the flag.
+  const char* argv[] = {"prog",    "--reps", "2x",   "--p",   "0.1x",
+                        "--alpha", "2abc",   "--inf", "inf",  "--nan",
+                        "nan",     "--big",  "1e999", "--bare"};
+  const Cli cli(14, argv);
+  const auto expect_named_error = [](const auto& parse, const char* flag) {
+    try {
+      (void)parse();
+      ADD_FAILURE() << flag << " should have thrown";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named_error([&] { return cli.get_int("reps", 0); }, "--reps");
+  expect_named_error([&] { return cli.get_int("bare", 0); }, "--bare");
+  expect_named_error([&] { return cli.get_double("p", 0.0); }, "--p");
+  expect_named_error([&] { return cli.get_double("alpha", 0.0); }, "--alpha");
+  expect_named_error([&] { return cli.get_double("inf", 0.0); }, "--inf");
+  expect_named_error([&] { return cli.get_double("nan", 0.0); }, "--nan");
+  expect_named_error([&] { return cli.get_double("big", 0.0); }, "--big");
+  expect_named_error([&] { return cli.get_double("bare", 0.0); }, "--bare");
+}
+
 TEST(Cli, UnknownFlagNamesTheFirstFlagOutsideTheKnownSet) {
   // A misspelled flag must be reported, not silently ignored: ftspan_cli
   // turns this answer into exit code 2 naming the flag.
