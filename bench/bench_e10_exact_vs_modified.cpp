@@ -10,9 +10,8 @@
 #include "core/modified_greedy.h"
 #include "util/timer.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 10));
   const auto trials = static_cast<int>(cli.get_int("trials", 5));
 
@@ -51,4 +50,8 @@ int main(int argc, char** argv) {
   std::cout << "\nsize ratio should hover around 1..k (the paper's k-factor "
                "is a worst case); the speedup column grows with n and f.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -7,9 +7,8 @@
 #include "bench_util.h"
 #include "core/modified_greedy.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 11));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 400));
 
@@ -39,4 +38,8 @@ int main(int argc, char** argv) {
                "conjecture that edge faults are no harder than vertex "
                "faults (the open Omega(f^{(1-1/k)/2}) vs O(f^{1-1/k}) gap).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

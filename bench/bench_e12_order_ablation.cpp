@@ -36,8 +36,7 @@ const char* order_name(EdgeOrder order) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+static int bench_main(const ftspan::Cli& cli) {
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 12));
   const auto trials = static_cast<int>(cli.get_int("trials", 30));
 
@@ -91,4 +90,8 @@ int main(int argc, char** argv) {
   std::cout << "\nby_weight must show 0 violations; the unsound orders "
                "show both violations and (ironically) larger spanners.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

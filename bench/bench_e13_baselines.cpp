@@ -76,9 +76,8 @@ bool write_json(const std::string& path, const std::vector<CellResult>& cells) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 13));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 120));
   const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials", 12));
@@ -190,4 +189,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
   return obs.finish() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "seed", "n", "f", "k", "trials", "radius", "alpha", "beta", "out",
+      "trace", "metrics", "trace-ring"};
+  return ftspan::bench::run_main(argc, argv, bench_main, kFlags);
 }

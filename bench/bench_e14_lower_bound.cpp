@@ -14,9 +14,8 @@
 #include "fault/verifier.h"
 #include "graph/extremal.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 14));
 
   bench::banner("E14 lower-bound instances",
@@ -52,4 +51,8 @@ int main(int argc, char** argv) {
                "Theorem 8 ratio shows how loose the worst-case bound is "
                "here.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

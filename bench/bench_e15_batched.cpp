@@ -14,9 +14,8 @@
 #include "core/batched_greedy.h"
 #include "fault/verifier.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 15));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 300));
 
@@ -50,4 +49,8 @@ int main(int argc, char** argv) {
                "the size ratio grows toward keeping all of G — quantifying "
                "the open problem's difficulty.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

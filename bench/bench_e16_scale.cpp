@@ -186,9 +186,8 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 42));
   const auto scales = parse_scales(cli.get("scales", "17,18,19,20"));
   const std::string family = cli.get("family", "kronecker");
@@ -242,4 +241,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
   return obs.finish() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "seed", "scales", "family", "edgefactor", "f", "k", "out", "trace",
+      "metrics", "trace-ring"};
+  return ftspan::bench::run_main(argc, argv, bench_main, kFlags);
 }

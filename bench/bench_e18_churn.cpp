@@ -168,8 +168,7 @@ bool write_json(const std::string& path, const RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+static int bench_main(const ftspan::Cli& cli) {
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 16384));
   const double degree = cli.get_double("degree", 8.0);
   const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 1));
@@ -343,4 +342,11 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << json_path << "\n";
   const bool obs_ok = obs.finish();
   return (r.checkpoints_ok && obs_ok) ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "n", "degree", "k", "f", "model", "updates", "queries", "readers",
+      "checkpoints", "seed", "out", "trace", "metrics", "trace-ring"};
+  return ftspan::bench::run_main(argc, argv, bench_main, kFlags);
 }

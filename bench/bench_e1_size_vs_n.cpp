@@ -54,9 +54,8 @@ void sweep(const std::string& family, std::uint32_t k, std::uint32_t f,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 1));
   const auto n_max = static_cast<std::size_t>(cli.get_uint("n", 1024));
 
@@ -73,4 +72,8 @@ int main(int argc, char** argv) {
   sweep("gnp", 3, 1, ns, seed + 2);
   sweep("geometric", 2, 1, ns, seed + 3);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -11,9 +11,8 @@
 #include "bench_util.h"
 #include "core/modified_greedy.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 2));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 512));
   const auto f_max = static_cast<std::uint32_t>(cli.get_uint("f", 8));
@@ -51,4 +50,8 @@ int main(int argc, char** argv) {
               << Table::num(fit.r_squared, 3) << ")\n\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -8,9 +8,8 @@
 #include "core/modified_greedy.h"
 #include "core/result.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 3));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 512));
   const auto k_max = static_cast<std::uint32_t>(cli.get_uint("k", 6));
@@ -39,4 +38,8 @@ int main(int argc, char** argv) {
     std::cout << '\n';
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

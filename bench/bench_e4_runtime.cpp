@@ -114,9 +114,8 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 42));
   const auto reps = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("reps", 3)));
@@ -171,4 +170,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
   return obs.finish() ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  static constexpr std::string_view kFlags[] = {
+      "seed", "reps", "out", "trace", "metrics", "trace-ring"};
+  return ftspan::bench::run_main(argc, argv, bench_main, kFlags);
 }

@@ -14,9 +14,8 @@
 #include "core/fault_search.h"
 #include "core/lbc.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 5));
   const auto trials = static_cast<int>(cli.get_int("trials", 300));
 
@@ -79,4 +78,8 @@ int main(int argc, char** argv) {
                "zone and certificate-size ratio quantify the t-approximation "
                "slack the paper pays (the k factor in Theorem 2).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -9,9 +9,8 @@
 #include "core/modified_greedy.h"
 #include "fault/verifier.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 6));
   const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials", 200));
 
@@ -79,4 +78,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nevery row must report ok=yes and max stretch <= 2k-1.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -13,10 +13,9 @@
 #include "distrib/local_spanner.h"
 #include "fault/verifier.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
   using distrib::LocalSpannerConfig;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 7));
   const auto n_max = static_cast<std::size_t>(cli.get_uint("n", 512));
 
@@ -78,4 +77,8 @@ int main(int argc, char** argv) {
   }
   f_table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

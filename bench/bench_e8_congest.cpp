@@ -15,9 +15,8 @@
 #include "distrib/congest_spanner.h"
 #include "fault/verifier.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 8));
   const auto n_max = static_cast<std::size_t>(cli.get_uint("n", 256));
 
@@ -93,4 +92,8 @@ int main(int argc, char** argv) {
   std::cout << "\nphase2 ~= virtual * congestion; congestion should track "
                "f log n; phase1 grows with f^2.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

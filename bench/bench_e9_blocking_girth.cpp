@@ -17,10 +17,9 @@
 #include "bench_util.h"
 #include "core/modified_greedy.h"
 
-int main(int argc, char** argv) {
+static int bench_main(const ftspan::Cli& cli) {
   using namespace ftspan;
   using analysis::lemma7_sample;
-  const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 9));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 400));
   const auto trials = static_cast<int>(cli.get_int("trials", 20));
@@ -79,4 +78,8 @@ int main(int argc, char** argv) {
                "girth rate must be 100%; kept edges should be commensurate "
                "with m(H)/(8((2k-1)f)^2) (Lemma 7's expectation).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return ftspan::bench::run_main(argc, argv, bench_main);
 }

@@ -10,10 +10,13 @@
 #include <sys/resource.h>
 
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "graph/generators.h"
@@ -98,6 +101,29 @@ inline ObsFlags obs_flags(const Cli& cli) {
     throw std::invalid_argument("--trace-ring must be in [64, 2^26]");
   flags.ring_capacity = static_cast<std::size_t>(ring);
   return flags;
+}
+
+/// Every bench's main: parses argv into a Cli and returns body(cli).  A flag
+/// outside `known` exits 2 naming it, so a misspelled flag in a CI step
+/// cannot silently run the defaults (an empty `known` checks nothing).  An
+/// exception out of the body, such as a malformed flag value, prints
+/// "error: <what>" and exits 1, as ftspan_cli does.
+inline int run_main(int argc, char** argv, int (*body)(const Cli&),
+                    std::span<const std::string_view> known = {}) {
+  try {
+    const Cli cli(argc, argv);
+    if (!known.empty()) {
+      if (const auto flag = cli.unknown_flag(known)) {
+        std::cerr << "error: " << cli.program() << " does not take --"
+                  << *flag << "\n";
+        return 2;
+      }
+    }
+    return body(cli);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 /// Prints the experiment banner: id, the paper claim being regenerated, and

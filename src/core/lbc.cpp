@@ -1,7 +1,5 @@
 #include "core/lbc.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -14,9 +12,6 @@ const obs::Counter c_sweep_dedicated("sweep.dedicated");
 const obs::Counter c_tree_sessions("tree.sessions");
 const obs::Counter c_tree_grafts("tree.grafts");
 const obs::Gauge g_graft_wave("graft.wave.max");
-
-/// Upper bound on one terminal batch (see lbc_scan).
-constexpr std::size_t kMaxTerminalBatch = 512;
 
 }  // namespace
 
@@ -86,14 +81,18 @@ void LbcSolver::begin_batch(const Graph& g, VertexId u,
   batch_t_ = t;
   batch_m_ = g.m();
   batch_targets_.assign(targets.begin(), targets.end());
+  batch_served_ = false;
   const obs::ScopedSpan span("tree", "begin", "source", u, "targets",
                              targets.size());
-  tree_bfs_.tree_begin(g, u, batch_targets_, FaultView{}, t);
+  bfs_.tree_begin(g, u, batch_targets_, FaultView{}, t);
   ++trees_built_;
   c_tree_sessions.add();
 }
 
 LbcResult LbcSolver::decide_batched(std::size_t index, std::uint32_t alpha) {
+  FTSPAN_REQUIRE(alpha == 0,
+                 "batched LBC decisions are alpha = 0 only (alpha >= 1 "
+                 "searches every sweep from both ends: use decide)");
   FTSPAN_REQUIRE(batch_g_ != nullptr, "no open LBC batch");
   FTSPAN_REQUIRE(index < batch_targets_.size(), "LBC batch index out of range");
   FTSPAN_REQUIRE(batch_g_->m() == batch_m_,
@@ -108,7 +107,7 @@ void LbcSolver::extend_batch_after_accept(VertexId v, EdgeId via_edge) {
                  "extend_batch_after_accept expects exactly one appended edge");
   batch_m_ = batch_g_->m();
   obs::ScopedSpan span("graft", "insert_source_arc", "target", v);
-  const std::size_t wave = tree_bfs_.tree_insert_source_arc(v, via_edge);
+  const std::size_t wave = bfs_.tree_insert_source_arc(v, via_edge);
   span.end_args("wave", wave);
   ++tree_extends_;
   c_tree_grafts.add();
@@ -123,20 +122,30 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
   FTSPAN_REQUIRE(t >= 1, "LBC requires t >= 1");
   return run_sweeps(g, alpha, [&](std::uint32_t i, const FaultView& cut,
                                   std::vector<PathStep>& path) {
-    if (i == 0 && sweep0_from_tree) {
-      // Sweep 0 of a batched decision: resume the shared terminal tree just
-      // far enough to settle v.
+    if (sweep0_from_tree) {
+      // The one sweep of a batched alpha-0 decision: resume the shared
+      // terminal tree just far enough to settle v.
       const obs::ScopedSpan span("sweep", "tree_served", "target", v);
       ++batched_sweeps_;
+      if (batch_served_) ++tree_reuse_hits_;
+      batch_served_ = true;
       c_sweep_tree.add();
-      if (tree_bfs_.tree_next(v) > t) return false;
-      tree_bfs_.path_arcs_to(v, path);
+      if (bfs_.tree_next(v) > t) return false;
+      bfs_.path_arcs_to(v, path);
       return true;
     }
     const obs::ScopedSpan span("sweep", "dedicated", "target", v, "sweep", i);
     c_sweep_dedicated.add();
     const ArcIndex before = bfs_.arcs_scanned();
-    const bool found = bfs_.shortest_path_arcs(g, u, v, path, cut, t);
+    // With a cut to build (alpha >= 1) every sweep searches from both ends:
+    // Theorem 4 needs only that each found path has at most t hops and
+    // avoids the cut so far, and two balls of radius about t/2 are far
+    // smaller than one of radius t.  The lone sweep of alpha = 0 stays
+    // one-ended, the search the shared tree reproduces.
+    const bool found =
+        alpha == 0
+            ? bfs_.shortest_path_arcs(g, u, v, path, cut, t)
+            : bfs_.two_ended_path_arcs(g, u, v, path, cut, t) != kUnreachableHops;
     if (i > 0) {
       ++dedicated_masked_sweeps_;
       dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
@@ -165,48 +174,28 @@ LbcResult lbc_decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
 void lbc_scan(const Graph& g, std::span<const EdgeId> order, const Graph& h,
               LbcSolver& lbc, std::uint32_t t, std::uint32_t alpha,
               const std::function<bool(LbcResult, EdgeId)>& commit) {
-  // With alpha == 0 an accept leaves the shared tree exhausted and the new
-  // edge graftable in place (extend_batch_after_accept), so runs never
-  // re-begin and the cap would only split trees for nothing: lift it.
-  const bool graft_accepts = alpha == 0;
-  const std::size_t cap = graft_accepts ? order.size() : kMaxTerminalBatch;
   std::vector<VertexId> targets;
   std::size_t i = 0;
   while (i < order.size()) {
-    // Terminal batch: a maximal run of consecutive candidates out of the
-    // same vertex, capped.
-    const VertexId shared_u = g.edge(order[i]).u;
-    const std::size_t end = i + std::min(cap, order.size() - i);
+    const Edge& first = g.edge(order[i]);
     std::size_t j = i + 1;
-    while (j < end && g.edge(order[j]).u == shared_u) ++j;
-    while (j - i > 1) {
-      // One shared tree serves the run until a decision accepts; accepting
-      // grows h, so the remaining targets re-begin against the new h —
-      // exactly the decision a per-edge scan would have made there.  With
-      // alpha == 0 the accepted edge is grafted into the tree instead
-      // (bit-identical decisions, since an alpha-0 decision consumes only
-      // the distance answer).
-      targets.clear();
-      for (std::size_t p = i; p < j; ++p) targets.push_back(g.edge(order[p]).v);
-      lbc.begin_batch(h, shared_u, targets, t);
-      const std::size_t base = i;
-      for (; i < j; ++i)
-        if (commit(lbc.decide_batched(i - base, alpha), order[i])) {
-          if (graft_accepts) {
-            if (i + 1 < j)  // nothing left to answer: skip the graft
-              lbc.extend_batch_after_accept(
-                  g.edge(order[i]).v, static_cast<EdgeId>(h.m() - 1));
-            continue;
-          }
-          ++i;
-          break;
-        }
-    }
-    if (j - i == 1) {  // singleton run or batch remainder: plain decision
-      const auto& e = g.edge(order[i]);
-      commit(lbc.decide(h, e.u, e.v, t, alpha), order[i]);
+    if (alpha == 0)  // terminal batch: the maximal same-source run
+      while (j < order.size() && g.edge(order[j]).u == first.u) ++j;
+    if (j - i == 1) {  // plain decision
+      commit(lbc.decide(h, first.u, first.v, t, alpha), order[i]);
       ++i;
+      continue;
     }
+    // One shared tree serves the whole run: an accept grafts the new edge
+    // into it in place, which keeps every later distance answer exact.
+    targets.clear();
+    for (std::size_t p = i; p < j; ++p) targets.push_back(g.edge(order[p]).v);
+    lbc.begin_batch(h, first.u, targets, t);
+    for (const std::size_t base = i; i < j; ++i)
+      if (commit(lbc.decide_batched(i - base, alpha), order[i]) &&
+          i + 1 < j)  // nothing left to answer: skip the graft
+        lbc.extend_batch_after_accept(g.edge(order[i]).v,
+                                      static_cast<EdgeId>(h.m() - 1));
   }
 }
 

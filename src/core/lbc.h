@@ -50,8 +50,10 @@ struct LbcSweeps {
 /// `find(i, path)` fills `path` with a (vertex, edge-id) u-v path for sweep
 /// i and returns false when none exists.  `cut_vertex(x)` / `cut_edge(e)`
 /// add one element to the caller's cut, which the next `find` must honor.
-/// Hop budgets (BFS), weight budgets (Dijkstra) and the shared terminal
-/// tree of a batched sweep 0 all plug in here.
+/// Any path of at most the budget that avoids the cut so far will do —
+/// Theorem 4's YES and NO sides use nothing else about it — so hop budgets
+/// (a BFS from both ends), weight budgets (Dijkstra) and the shared terminal
+/// tree of a batched alpha-0 decision all plug in here.
 template <class FindPath, class CutVertex, class CutEdge>
 LbcSweeps lbc_sweeps(FaultModel model, std::uint32_t alpha,
                      std::vector<PathStep>& path, FindPath&& find,
@@ -77,7 +79,9 @@ class LbcSolver {
 
   [[nodiscard]] FaultModel model() const noexcept { return model_; }
 
-  /// Decides LBC(t, alpha) for terminals u, v on g.
+  /// Decides LBC(t, alpha) for terminals u, v on g.  At alpha >= 1 every
+  /// sweep is a t-hop search from both ends (BfsRunner::two_ended_path_arcs);
+  /// the one sweep of alpha = 0 is a one-ended t-hop BFS.
   /// Requires u != v, both in range, t >= 1.
   LbcResult decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
                    std::uint32_t alpha);
@@ -96,41 +100,44 @@ class LbcSolver {
   LbcResult decide_weighted(const Graph& g, VertexId u, VertexId v,
                             Weight budget, std::uint32_t alpha);
 
-  // --- terminal-batched decisions -----------------------------------------
+  // --- terminal-batched decisions (alpha = 0 only) ------------------------
   //
   // The modified greedy issues runs of decisions that share their first
-  // terminal u (consecutive scan edges out of the same vertex).  Every such
-  // decision runs its sweep 0 against the SAME spanner H with the SAME empty
-  // cut, so one lazily-expanded BFS tree from u (BfsRunner::tree_begin)
-  // answers all of them: decision j only advances the shared expansion as
-  // far as its own single-target search would have, and any later decision
-  // whose target already settled gets its sweep 0 for free.  Sweeps >= 1
-  // accumulate a per-decision cut and run a dedicated masked BFS each.
+  // terminal u (consecutive scan edges out of the same vertex).  At alpha = 0
+  // a decision is its one sweep against the spanner H, so one lazily-expanded
+  // BFS tree from u (BfsRunner::tree_begin) answers the whole run: decision j
+  // only advances the shared expansion as far as its own single-target
+  // search would have, and any later decision whose target already settled
+  // is answered for free.  An accept does not end the batch: the new edge is
+  // grafted into the tree in place (extend_batch_after_accept).
   //
-  // Results, certificates, and sweep counts are bit-identical to calling
-  // decide() for each pair — enforced by tests/lbc_batch_test.cpp.  The
-  // caller must not mutate g between begin_batch and the last
-  // decide_batched; accepting an edge therefore ends the batch (lbc_scan
-  // re-begins on the remaining targets).
+  // At alpha >= 1 there is no batch: decide searches every sweep from both
+  // ends, which reads far fewer arcs than a one-ended tree could share, so
+  // decide_batched throws there.
+  //
+  // Results and sweep counts are bit-identical to calling decide() for each
+  // pair — enforced by tests/lbc_batch_test.cpp.  The caller must not mutate
+  // g between begin_batch and the last decide_batched, except through
+  // extend_batch_after_accept.
 
   /// Opens a batch of decisions (u, targets[j]) on g.  O(|targets|); the
   /// shared tree expands lazily inside decide_batched.
   void begin_batch(const Graph& g, VertexId u,
                    std::span<const VertexId> targets, std::uint32_t t);
 
-  /// Decides LBC(t, alpha) for (u, targets[index]) of the open batch.
-  /// Bit-identical to decide(g, u, targets[index], t, alpha).
+  /// Decides LBC(t, 0) for (u, targets[index]) of the open batch.
+  /// Bit-identical to decide(g, u, targets[index], t, 0).  Throws
+  /// std::invalid_argument unless alpha == 0.
   LbcResult decide_batched(std::size_t index, std::uint32_t alpha);
 
-  /// Continues the open batch across an accepted edge — alpha == 0 only.
-  /// The caller has just appended edge (u, v) to the batch graph (v the
-  /// accepted target, `via_edge` its id there); instead of re-beginning, the
-  /// shared tree is grafted in place (BfsRunner::tree_insert_source_arc), so
-  /// the remaining decide_batched calls skip the full re-expansion an accept
-  /// used to cost.  Valid only for alpha == 0 decisions: the graft maintains
-  /// exact distances but not the paths sweeps >= 1 read.  Decisions stay
-  /// bit-identical to re-beginning (pinned by tests/lbc_batch_test.cpp and
-  /// the f=0 differential suite).
+  /// Continues the open batch across an accepted edge.  The caller has just
+  /// appended edge (u, v) to the batch graph (v the accepted target,
+  /// `via_edge` its id there); instead of re-beginning, the shared tree is
+  /// grafted in place (BfsRunner::tree_insert_source_arc), so the remaining
+  /// decide_batched calls skip the full re-expansion an accept would cost.
+  /// The graft keeps exact distances, which is all an alpha-0 decision
+  /// reads.  Decisions stay bit-identical to re-beginning (pinned by
+  /// tests/lbc_batch_test.cpp and the f=0 differential suite).
   void extend_batch_after_accept(VertexId v, EdgeId via_edge);
 
   /// Total BFS sweeps across all decisions (instrumentation).
@@ -143,16 +150,17 @@ class LbcSolver {
     return trees_built_;
   }
 
-  /// Sweep-0 decisions answered through a shared terminal tree
-  /// (instrumentation; each still counts 1 in total_sweeps()).
+  /// Alpha-0 decisions answered through a shared terminal tree
+  /// (instrumentation; each still counts 1 in total_sweeps()).  Always 0
+  /// at alpha >= 1.
   [[nodiscard]] std::uint64_t batched_sweeps() const noexcept {
     return batched_sweeps_;
   }
 
-  /// Dedicated sweep-0 BFS runs saved by tree sharing: batched decisions
-  /// beyond the first of each tree session.
+  /// Dedicated BFS runs saved by tree sharing: batched decisions beyond the
+  /// first one each tree session served.
   [[nodiscard]] std::uint64_t tree_reuse_hits() const noexcept {
-    return batched_sweeps_ - trees_built_;
+    return tree_reuse_hits_;
   }
 
   /// Accepts survived in place by grafting the new edge into the shared
@@ -162,8 +170,8 @@ class LbcSolver {
     return tree_extends_;
   }
 
-  /// Arcs scanned by the masked sweeps (>= 1) of hop decisions, cumulative.
-  /// Subset of arcs_scanned().
+  /// Arcs scanned by the masked sweeps (>= 1) of hop decisions, cumulative;
+  /// each such sweep is a search from both ends.  Subset of arcs_scanned().
   [[nodiscard]] ArcIndex dedicated_masked_arcs() const noexcept {
     return dedicated_masked_arcs_;
   }
@@ -177,16 +185,15 @@ class LbcSolver {
   /// cumulative) — the measured work term of the O(f^{1-1/k} n^{1/k} m)
   /// bound, aggregated into SpannerBuildStats::arcs_traversed.
   [[nodiscard]] ArcIndex arcs_scanned() const noexcept {
-    return bfs_.arcs_scanned() + tree_bfs_.arcs_scanned() +
-           dijkstra_.arcs_scanned();
+    return bfs_.arcs_scanned() + dijkstra_.arcs_scanned();
   }
 
   /// Bytes held by this solver's search workspace: the runners' slab
   /// arenas plus the cut masks and the path buffer — the source of
   /// SpannerBuildStats::arena_bytes.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
-    return bfs_.arena_bytes() + tree_bfs_.arena_bytes() +
-           dijkstra_.arena_bytes() + vertex_cut_.bytes().size() +
+    return bfs_.arena_bytes() + dijkstra_.arena_bytes() +
+           vertex_cut_.bytes().size() +
            edge_cut_.bytes().size() + path_.capacity() * sizeof(PathStep);
   }
 
@@ -207,8 +214,7 @@ class LbcSolver {
   LbcResult run_sweeps(const Graph& g, std::uint32_t alpha, Sweep&& sweep);
 
   FaultModel model_;
-  BfsRunner bfs_;
-  BfsRunner tree_bfs_;  ///< holds the shared tree; bfs_ serves sweeps >= 1
+  BfsRunner bfs_;  ///< every hop sweep, and the shared tree of a batch
   DijkstraRunner dijkstra_;  ///< serves decide_weighted sweeps only
   ScratchMask vertex_cut_;
   ScratchMask edge_cut_;
@@ -216,6 +222,7 @@ class LbcSolver {
   std::uint64_t total_sweeps_ = 0;
   std::uint64_t trees_built_ = 0;
   std::uint64_t batched_sweeps_ = 0;
+  std::uint64_t tree_reuse_hits_ = 0;
   std::uint64_t tree_extends_ = 0;
   std::uint64_t dedicated_masked_sweeps_ = 0;
   ArcIndex dedicated_masked_arcs_ = 0;
@@ -226,6 +233,7 @@ class LbcSolver {
   VertexId batch_u_ = kInvalidVertex;
   std::uint32_t batch_t_ = 0;
   std::size_t batch_m_ = 0;  ///< g.m() at begin_batch, to catch mutation
+  bool batch_served_ = false;  ///< the open tree has answered a decision
 };
 
 /// One-shot convenience wrapper around LbcSolver::decide.
@@ -233,20 +241,19 @@ class LbcSolver {
                                    std::uint32_t t, std::uint32_t alpha,
                                    FaultModel model = FaultModel::vertex);
 
-/// The terminal-batched greedy scan, shared by the LBC-driven builders
-/// (modified_greedy_spanner and the BDPVW prefilter): decides LBC(t, alpha)
-/// for each edge of g in `order` against the growing spanner h, and hands
-/// every decision to `commit(decision, id)`, which returns true when it
-/// appended edge `id` to h (and must append nothing otherwise).
+/// The greedy scan shared by the LBC-driven builders (modified_greedy_spanner
+/// and the BDPVW prefilter): decides LBC(t, alpha) for each edge of g in
+/// `order` against the growing spanner h, and hands every decision to
+/// `commit(decision, id)`, which returns true when it appended edge `id` to
+/// h (and must append nothing otherwise).
 ///
-/// Consecutive candidates out of the same vertex form a terminal batch
-/// answered through one shared tree (LbcSolver::begin_batch), capped at
-/// 512 candidates so re-marking the remaining targets after an accept stays
-/// amortized O(1) per decision on huge-degree hubs.  An accept grows h, so
-/// the rest of the run re-begins against the new h — except at alpha == 0,
-/// where the accepted edge is grafted into the tree in place and the cap is
-/// lifted.  Every decision is bit-identical to LbcSolver::decide on the h of
-/// its scan position (tests/lbc_batch_test.cpp).
+/// At alpha >= 1 every candidate is one LbcSolver::decide, whose sweeps
+/// search from both ends.  At alpha = 0 each maximal run of consecutive
+/// candidates out of the same vertex is a terminal batch answered through
+/// one shared tree (LbcSolver::begin_batch), and an accepted edge is grafted
+/// into that tree in place; a run of one is a plain decision.  Every
+/// decision is bit-identical to LbcSolver::decide on the h of its scan
+/// position (tests/lbc_batch_test.cpp).
 void lbc_scan(const Graph& g, std::span<const EdgeId> order, const Graph& h,
               LbcSolver& lbc, std::uint32_t t, std::uint32_t alpha,
               const std::function<bool(LbcResult, EdgeId)>& commit);

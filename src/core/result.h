@@ -20,12 +20,12 @@ struct SpannerBuildStats {
   std::uint64_t search_sweeps = 0;
   /// Wall-clock construction time.
   double seconds = 0.0;
-  /// Sweep-0 decisions answered through a shared terminal tree (terminal-
-  /// batched LBC); each also counts 1 in search_sweeps.
+  /// Alpha-0 decisions answered through a shared terminal tree (terminal-
+  /// batched LBC); each also counts 1 in search_sweeps.  0 whenever f >= 1,
+  /// where no decision is batched.
   std::uint64_t batched_sweeps = 0;
-  /// Dedicated sweep-0 BFS runs saved by tree sharing: batched decisions
-  /// beyond the first of each tree session, so physical sweep-0 runs =
-  /// logical sweeps - tree_reuse_hits.
+  /// Dedicated BFS runs saved by tree sharing: batched decisions beyond the
+  /// first one each tree session served.  0 whenever f >= 1.
   std::uint64_t tree_reuse_hits = 0;
   /// Always 0.  Counted masked sweeps served by in-place repair of the
   /// shared terminal tree, which measured slower than the dedicated masked
@@ -47,8 +47,9 @@ struct SpannerBuildStats {
   /// Always 0.  Counted the arcs the removed masked-tree repair scanned (see
   /// masked_reuse_hits); kept for the same by-name reader.
   std::uint64_t repair_cost_arcs = 0;
-  /// Arcs scanned by the masked sweeps (>= 1) of LBC decisions, each a
-  /// dedicated BFS under the decision's cut.  Subset of arcs_traversed.
+  /// Arcs scanned by the masked sweeps (>= 1) of LBC hop decisions, each a
+  /// t-hop search from both ends under the decision's cut.  Subset of
+  /// arcs_traversed.
   std::uint64_t dedicated_masked_arcs = 0;
   /// Number of sweeps metered by dedicated_masked_arcs.
   std::uint64_t dedicated_masked_sweeps = 0;

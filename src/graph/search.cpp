@@ -153,8 +153,9 @@ bool BfsRunner::shortest_path_arcs(const Graph& g, VertexId s, VertexId t,
   return true;
 }
 
-template <bool kCheckVertices, bool kCheckEdges>
+template <bool kCheckVertices, bool kCheckEdges, bool kBounded>
 std::uint32_t BfsRunner::two_ended_impl(const Graph& g, const FaultView faults,
+                                        const std::uint32_t max_hops,
                                         std::vector<PathStep>& out) {
   // Side 0 grows from s in queue_, side 1 from t in iqueue_.  A vertex
   // belongs to the side that reached it first, which its stamp names, and
@@ -166,11 +167,21 @@ std::uint32_t BfsRunner::two_ended_impl(const Graph& g, const FaultView faults,
   std::vector<VertexId>* const queue[2] = {&queue_, &iqueue_};
   const std::uint32_t mark[2] = {epoch_ - 1, epoch_};
   std::size_t level[2] = {0, 0};  // queue index where the unexpanded level starts
+  // Levels expanded so far, both sides together.  Sides still apart after
+  // `depth` levels are more than `depth` hops apart, and the next round can
+  // only close a path of depth + 1 hops.
+  std::uint32_t depth = 0;
 
   while (true) {
     const std::size_t size0 = queue_.size() - level[0];
     const std::size_t size1 = iqueue_.size() - level[1];
     if (size0 == 0 || size1 == 0) return kUnreachableHops;
+    bool stamp_next = true;
+    if constexpr (kBounded) {
+      if (depth >= max_hops) return kUnreachableHops;
+      // The last allowed round: a vertex it would stamp lies past the bound.
+      stamp_next = depth + 1 < max_hops;
+    }
     const int side = size0 <= size1 ? 0 : 1;
     std::vector<VertexId>& q = *queue[side];
     const std::uint32_t own = mark[side];
@@ -199,6 +210,9 @@ std::uint32_t BfsRunner::two_ended_impl(const Graph& g, const FaultView faults,
             out.push_back(PathStep{parent[z], parc[z]});
           return dist[a] + 1 + dist[b];
         }
+        if constexpr (kBounded) {
+          if (!stamp_next) continue;
+        }
         if constexpr (kCheckVertices) {
           if (!faults.vertex_alive(arc.to)) continue;
         }
@@ -210,13 +224,15 @@ std::uint32_t BfsRunner::two_ended_impl(const Graph& g, const FaultView faults,
       }
     }
     level[side] = end;
+    ++depth;
   }
 }
 
 std::uint32_t BfsRunner::two_ended_path_arcs(const Graph& g, VertexId s,
                                              VertexId t,
                                              std::vector<PathStep>& out,
-                                             const FaultView& faults) {
+                                             const FaultView& faults,
+                                             std::uint32_t max_hops) {
   FTSPAN_REQUIRE(s < g.n() && t < g.n(), "search endpoint out of range");
   ensure(g.n());
   begin_epoch(2);
@@ -238,10 +254,18 @@ std::uint32_t BfsRunner::two_ended_path_arcs(const Graph& g, VertexId s,
 
   const bool check_v = !faults.failed_vertices.empty();
   const bool check_e = !faults.failed_edges.empty();
-  if (check_v && check_e) return two_ended_impl<true, true>(g, faults, out);
-  if (check_v) return two_ended_impl<true, false>(g, faults, out);
-  if (check_e) return two_ended_impl<false, true>(g, faults, out);
-  return two_ended_impl<false, false>(g, faults, out);
+  if (max_hops == kUnreachableHops) {
+    if (check_v && check_e)
+      return two_ended_impl<true, true, false>(g, faults, max_hops, out);
+    if (check_v) return two_ended_impl<true, false, false>(g, faults, max_hops, out);
+    if (check_e) return two_ended_impl<false, true, false>(g, faults, max_hops, out);
+    return two_ended_impl<false, false, false>(g, faults, max_hops, out);
+  }
+  if (check_v && check_e)
+    return two_ended_impl<true, true, true>(g, faults, max_hops, out);
+  if (check_v) return two_ended_impl<true, false, true>(g, faults, max_hops, out);
+  if (check_e) return two_ended_impl<false, true, true>(g, faults, max_hops, out);
+  return two_ended_impl<false, false, true>(g, faults, max_hops, out);
 }
 
 void BfsRunner::path_arcs_to(VertexId v, std::vector<PathStep>& out) const {

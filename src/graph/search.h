@@ -96,18 +96,23 @@ class BfsRunner {
                           const FaultView& faults = {},
                           std::uint32_t max_hops = kUnreachableHops);
 
-  /// Fewest-hop s-t path with no hop bound, searched from both ends: each
-  /// round expands one whole BFS level of the side whose frontier holds
-  /// fewer vertices, and the first arc that reaches the other side closes
-  /// the path.  Both sides' balls are complete up to their last level when
-  /// that happens, so no shorter path can exist.  Writes the path in
-  /// shortest_path_arcs' format and returns its hop count, which equals
-  /// hop_distance's; among equally short paths it may pick another one.
-  /// Returns kUnreachableHops (out untouched) when t is unreachable.  Ends
-  /// any terminal-tree session; path_arcs_to does not apply to it.
+  /// Fewest-hop s-t path searched from both ends: each round expands one
+  /// whole BFS level of the side whose frontier holds fewer vertices, and
+  /// the first arc that reaches the other side closes the path.  Both
+  /// sides' balls are complete up to their last level when that happens, so
+  /// no shorter path can exist.  Under a hop bound the search answers
+  /// unreachable once the two expanded depths sum to `max_hops` (sides that
+  /// have not met by then are more than that far apart), and its last
+  /// allowed round only looks for meeting arcs, stamping nothing.  Writes
+  /// the path in shortest_path_arcs' format and returns its hop count, which
+  /// equals hop_distance(g, s, t, faults, max_hops)'s; among equally short
+  /// paths it may pick another one.  Returns kUnreachableHops (out
+  /// untouched) when t is unreachable within `max_hops`.  Ends any
+  /// terminal-tree session; path_arcs_to does not apply to it.
   std::uint32_t two_ended_path_arcs(const Graph& g, VertexId s, VertexId t,
                                     std::vector<PathStep>& out,
-                                    const FaultView& faults = {});
+                                    const FaultView& faults = {},
+                                    std::uint32_t max_hops = kUnreachableHops);
 
   /// Hop distances from s to every vertex (kUnreachableHops when
   /// unreachable), written into `out` (resized to g.n()).
@@ -199,10 +204,15 @@ class BfsRunner {
   /// Runs BFS from s; stops early once t is settled.  Returns dist(t).
   std::uint32_t run(const Graph& g, VertexId s, VertexId t,
                     const FaultView& faults, std::uint32_t max_hops);
-  // The search functions start on a 64-byte line, so where their loops'
-  // compare-and-branch pairs fall does not depend on the code linked before
+  // The search loops carry a 64-byte alignment, so where their
+  // compare-and-branch pairs fall need not depend on the code linked before
   // them: unaligned, a 16-byte shift of unrelated code split one such pair
-  // across a line and slowed the verifier's tree_next loop by 20%.
+  // across a line and slowed the verifier's tree_next loop by 20%.  The
+  // attribute only holds for an instantiation the compiler emits out of
+  // line.  GCC 12 inlines run_impl<false, false> into run and most
+  // two_ended_impl instantiations into two_ended_path_arcs, where their
+  // loops float with the caller (nm -C on search.cpp.o lists which stayed
+  // out of line).
   template <bool kCheckVertices, bool kCheckEdges>
   [[gnu::aligned(64)]] std::uint32_t run_impl(const Graph& g, VertexId s,
                                               VertexId t,
@@ -210,9 +220,12 @@ class BfsRunner {
                                               std::uint32_t max_hops);
   template <bool kCheckVertices, bool kCheckEdges>
   [[gnu::aligned(64)]] std::uint32_t tree_next_impl(VertexId v);
-  template <bool kCheckVertices, bool kCheckEdges>
+  // kBounded is false for the unbounded searches routes run, so their
+  // instantiations carry no hop-bound code at all.
+  template <bool kCheckVertices, bool kCheckEdges, bool kBounded>
   [[gnu::aligned(64)]] std::uint32_t two_ended_impl(
-      const Graph& g, FaultView faults, std::vector<PathStep>& out);
+      const Graph& g, FaultView faults, std::uint32_t max_hops,
+      std::vector<PathStep>& out);
   void ensure(std::size_t n);
   void ensure_session_arrays();
   /// Starts a search with `stamps` fresh stamp values, epoch_ the last.

@@ -51,13 +51,14 @@ bool ChurnSpanner::decide_spanned(VertexId u, VertexId v, Weight w) {
   // one's interior vertices (vertex model) / edges (edge model) before the
   // next sweep.  All f+1 paths found => they are pairwise disjoint => e is
   // spanned.  Any sweep failing => the accumulated <= f cut separates u
-  // from v => not spanned.  Weighted meshes sweep with budget-pruned
-  // Dijkstra (budget t * w(e)) instead of t-hop BFS: churn order is not
-  // weight order, so the unweighted-view shortcut of the static greedy
-  // (Theorem 10) is unsound here, while the weighted certificate composes
-  // unconditionally.  The sweeps search h_, so edge cuts are H ids.  The
-  // edge being decided is outside H (masked or absent in h_), and G has no
-  // parallel edges, so no sweep can find the one-hop u-v path.
+  // from v => not spanned.  Unweighted meshes sweep with a t-hop search
+  // from both ends.  Weighted meshes sweep with budget-pruned Dijkstra
+  // (budget t * w(e)): churn order is not weight order, so the
+  // unweighted-view shortcut of the static greedy (Theorem 10) is unsound
+  // here, while the weighted certificate composes unconditionally.  The
+  // sweeps search h_, so edge cuts are H ids.  The edge being decided is
+  // outside H (masked or absent in h_), and G has no parallel edges, so no
+  // sweep can find the one-hop u-v path.
   const std::uint32_t t = config_.params.stretch();
   const FaultView view{vcut_.bytes(), h_out_};
   const LbcSweeps outcome = lbc_sweeps(
@@ -66,7 +67,8 @@ bool ChurnSpanner::decide_spanned(VertexId u, VertexId v, Weight w) {
         return h_.weighted()
                    ? dij_.shortest_path_arcs(h_, u, v, path, view,
                                              static_cast<Weight>(t) * w)
-                   : bfs_.shortest_path_arcs(h_, u, v, path, view, t);
+                   : bfs_.two_ended_path_arcs(h_, u, v, path, view, t) !=
+                         kUnreachableHops;
       },
       [&](VertexId x) { vcut_.set(x); },
       [&](EdgeId e) {

@@ -29,9 +29,10 @@
 // scan, exactly like exact_greedy_spanner.
 //
 // Determinism contract: sequential scan, nondecreasing weight with ties by
-// edge id; the LBC prefilter runs the modified greedy's terminal-batched
-// scan (lbc_scan in core/lbc.h: one shared BFS tree per same-endpoint run),
-// and the filter changes who answers a decision, never the answer.
+// edge id; the LBC prefilter runs the modified greedy's scan (lbc_scan in
+// core/lbc.h), and the filter changes who answers a decision, never the
+// answer.  Which paths its sweeps find can change the size of a YES cut, and
+// so how many decisions reach the exact search, but not the picks.
 
 #pragma once
 

@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/lbc.h"
 #include "core/modified_greedy.h"
 #include "fault/attack.h"
 #include "fault/verifier.h"
+#include "graph/fault_mask.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/search.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -100,9 +103,40 @@ TEST(EdgeCases, TwoVertexGraph) {
   }
 }
 
+/// Algorithm 2 in its textbook form, one one-ended t-hop BFS per sweep.
+LbcResult one_ended_lbc(const Graph& g, FaultModel model, VertexId u,
+                        VertexId v, std::uint32_t t, std::uint32_t alpha) {
+  Mask vertices(g.n());
+  Mask edges(g.m());
+  const FaultView cut = make_fault_view(&vertices, &edges);
+  BfsRunner bfs;
+  LbcResult result;
+  result.cut.model = model;
+  std::vector<PathStep> path;
+  const LbcSweeps outcome = lbc_sweeps(
+      model, alpha, path,
+      [&](std::uint32_t, std::vector<PathStep>& p) {
+        return bfs.shortest_path_arcs(g, u, v, p, cut, t);
+      },
+      [&](VertexId x) {
+        if (!vertices.test(x)) result.cut.ids.push_back(x);
+        vertices.set(x);
+      },
+      [&](EdgeId e) {
+        if (!edges.test(e)) result.cut.ids.push_back(e);
+        edges.set(e);
+      });
+  result.yes = outcome.yes;
+  result.sweeps = outcome.sweeps;
+  return result;
+}
+
 TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
-  // Batched decisions on a disconnected graph: unreachable targets, one-hop
-  // targets (empty cut growth), and f = 0 single sweeps.
+  // Decisions on a disconnected graph: unreachable targets, one-hop targets
+  // (empty cut growth), and f = 0 single sweeps.  Batched alpha-0 decisions
+  // must match decide(); at alpha >= 1, where batches refuse, decide's
+  // two-ended sweeps must match the one-ended textbook loop (every path
+  // here is the only shortest one under its cut).
   Graph g(7);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
@@ -114,8 +148,14 @@ TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
       LbcSolver batched(model);
       LbcSolver reference(model);
       batched.begin_batch(g, 0, targets, 3);
+      if (alpha != 0) {
+        EXPECT_THROW((void)batched.decide_batched(0, alpha),
+                     std::invalid_argument);
+      }
       for (std::size_t j = 0; j < targets.size(); ++j) {
-        const LbcResult result = batched.decide_batched(j, alpha);
+        const LbcResult result =
+            alpha == 0 ? batched.decide_batched(j, alpha)
+                       : one_ended_lbc(g, model, 0, targets[j], 3, alpha);
         const LbcResult ref = reference.decide(g, 0, targets[j], 3, alpha);
         EXPECT_EQ(result.yes, ref.yes)
             << to_string(model) << " alpha=" << alpha << " target=" << targets[j];

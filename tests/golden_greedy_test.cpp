@@ -4,6 +4,12 @@
 // by running modified_greedy_spanner on the seed implementation with the
 // exact generator seeds used here; any change in BFS visit order, adjacency
 // insertion order, or LBC cut accumulation shows up as a diff.
+//
+// The k = 3, f = 2 arrays pin which paths the sweeps find, which k = 2
+// inputs here do not: they were recorded with every f >= 1 sweep searched
+// from both ends.  The one-ended sweeps before that picked 3 fewer edges
+// (vertex: 171, 219, 279) and 1 fewer (edge: 171), at the same sweep
+// counts, and both spanners pass the exhaustive stretch-5 check below.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +33,12 @@ static const std::vector<EdgeId> kGoldenVertexK3F1 = {0, 1, 2, 3, 4, 5, 6, 7, 8,
 
 // kGoldenEdgeWeightedK2F1: n=36 m=214 k=2 f=1 model=edge -> 82 picked
 static const std::vector<EdgeId> kGoldenEdgeWeightedK2F1 = {136, 144, 29, 152, 150, 111, 142, 3, 198, 172, 140, 80, 159, 161, 43, 160, 15, 120, 61, 33, 67, 18, 185, 146, 97, 91, 169, 141, 95, 195, 81, 202, 13, 25, 178, 186, 1, 149, 101, 31, 190, 207, 200, 20, 84, 92, 36, 197, 187, 34, 23, 126, 62, 134, 69, 133, 75, 98, 164, 107, 70, 180, 117, 171, 131, 177, 121, 26, 38, 5, 49, 90, 6, 138, 189, 183, 56, 60, 193, 212, 59, 2};
+
+// kGoldenVertexK3F2: n=48 m=294 k=3 f=2 model=vertex -> 133 picked
+static const std::vector<EdgeId> kGoldenVertexK3F2 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 68, 69, 71, 72, 73, 75, 76, 77, 78, 79, 80, 81, 83, 84, 85, 86, 87, 88, 89, 90, 92, 93, 96, 100, 101, 102, 104, 105, 106, 108, 109, 110, 112, 114, 115, 117, 120, 121, 123, 129, 130, 133, 135, 136, 140, 144, 145, 147, 151, 164, 166, 167, 171, 172, 179, 183, 184, 185, 189, 190, 191, 195, 196, 197, 214, 219, 279};
+
+// kGoldenEdgeK3F2: n=48 m=294 k=3 f=2 model=edge -> 130 picked
+static const std::vector<EdgeId> kGoldenEdgeK3F2 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 68, 69, 71, 72, 73, 75, 76, 77, 78, 79, 80, 81, 83, 84, 85, 86, 87, 88, 89, 90, 92, 93, 96, 100, 101, 104, 105, 106, 108, 109, 110, 112, 114, 115, 117, 120, 121, 123, 129, 130, 133, 135, 136, 140, 144, 145, 147, 151, 164, 166, 167, 171, 172, 179, 183, 184, 185, 189, 190, 191, 195, 196, 197, 214};
 
 // Checks the recorded picks, then pins oracle calls and sweep counts to the
 // per-edge reference greedy (tests/test_util.h): the shared terminal trees
@@ -61,6 +73,24 @@ TEST(GoldenGreedy, VertexModelK3F1) {
   const Graph g = gnp(40, 0.3, rng);
   expect_golden(g, SpannerParams{.k = 3, .f = 1, .model = FaultModel::vertex},
                 kGoldenVertexK3F1);
+}
+
+TEST(GoldenGreedy, VertexModelK3F2) {
+  Rng rng(7001);
+  const Graph g = gnp(48, 0.25, rng);
+  const SpannerParams params{.k = 3, .f = 2, .model = FaultModel::vertex};
+  expect_golden(g, params, kGoldenVertexK3F2);
+  testing::expect_ft_spanner_exhaustive(
+      g, modified_greedy_spanner(g, params).spanner, params, "vertex k=3 f=2");
+}
+
+TEST(GoldenGreedy, EdgeModelK3F2) {
+  Rng rng(7001);
+  const Graph g = gnp(48, 0.25, rng);
+  const SpannerParams params{.k = 3, .f = 2, .model = FaultModel::edge};
+  expect_golden(g, params, kGoldenEdgeK3F2);
+  testing::expect_ft_spanner_exhaustive(
+      g, modified_greedy_spanner(g, params).spanner, params, "edge k=3 f=2");
 }
 
 TEST(GoldenGreedy, EdgeModelWeightedK2F1) {

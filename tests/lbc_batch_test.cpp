@@ -1,10 +1,10 @@
 // Bit-identity tests for terminal-batched LBC: the resumable terminal-tree
 // session (BfsRunner::tree_begin / tree_next) must answer every target
 // exactly like a dedicated single-target search — distance and path — and
-// LbcSolver::decide_batched must reproduce decide() down to cuts and sweep
-// counts, at any query order and under accept-driven re-batching.  The
-// greedy's batched scan (lbc_scan) is pinned against the test-side per-edge
-// reference greedy.
+// LbcSolver::decide_batched, an alpha = 0 API, must reproduce decide() down
+// to cuts and sweep counts at any query order.  The greedy's scan
+// (lbc_scan), batched at f = 0 and per edge at f >= 1, is pinned against
+// the test-side per-edge reference greedy.
 
 #include <gtest/gtest.h>
 
@@ -175,15 +175,14 @@ TEST(TerminalTree, SessionEndsWithAnotherSearch) {
 // ----------------------------------------------------- batched LBC decisions
 
 void expect_batch_matches_decide(const Graph& g, FaultModel model,
-                                 std::uint32_t t, std::uint32_t alpha,
-                                 VertexId u,
+                                 std::uint32_t t, VertexId u,
                                  const std::vector<VertexId>& targets) {
   LbcSolver batched(model);
   LbcSolver reference(model);
   batched.begin_batch(g, u, targets, t);
   for (std::size_t j = 0; j < targets.size(); ++j) {
-    const LbcResult result = batched.decide_batched(j, alpha);
-    const LbcResult ref = reference.decide(g, u, targets[j], t, alpha);
+    const LbcResult result = batched.decide_batched(j, 0);
+    const LbcResult ref = reference.decide(g, u, targets[j], t, 0);
     EXPECT_EQ(result.yes, ref.yes) << "target " << targets[j];
     EXPECT_EQ(result.sweeps, ref.sweeps) << "target " << targets[j];
     EXPECT_EQ(result.cut.model, ref.cut.model);
@@ -206,10 +205,45 @@ TEST(LbcBatch, MatchesPerPairDecisions) {
         if (v != u) targets.push_back(v);
       std::shuffle(targets.begin(), targets.end(), rng);
       const auto t = static_cast<std::uint32_t>(1 + rng.next_below(4));
-      const auto alpha = static_cast<std::uint32_t>(rng.next_below(4));
-      expect_batch_matches_decide(g, model, t, alpha, u, targets);
+      expect_batch_matches_decide(g, model, t, u, targets);
     }
   }
+}
+
+TEST(LbcBatch, BatchesAreAlphaZeroOnly) {
+  // At alpha >= 1 decide searches every sweep from both ends and there is
+  // no batch to share: decide_batched refuses, and the refusal leaves the
+  // open batch intact.
+  Rng rng(9012);
+  const Graph g = gnp(16, 0.4, rng);
+  LbcSolver solver(FaultModel::vertex);
+  LbcSolver reference(FaultModel::vertex);
+  const std::vector<VertexId> targets = {1, 2, 3};
+  solver.begin_batch(g, 0, targets, 3);
+  EXPECT_THROW((void)solver.decide_batched(0, 1), std::invalid_argument);
+  EXPECT_THROW((void)solver.decide_batched(1, 3), std::invalid_argument);
+  EXPECT_EQ(solver.decide_batched(0, 0).yes, reference.decide(g, 0, 1, 3, 0).yes);
+  EXPECT_EQ(solver.batched_sweeps(), 1u);
+}
+
+TEST(LbcBatch, UnservedTreeCountsNoReuse) {
+  // A tree opened but never served saves nothing (and must not wrap the
+  // counter below zero); the next tree's second answer is its first reuse.
+  Rng rng(9013);
+  const Graph g = gnp(16, 0.4, rng);
+  LbcSolver solver(FaultModel::edge);
+  const std::vector<VertexId> targets = {1, 2, 3};
+  solver.begin_batch(g, 0, targets, 3);
+  (void)solver.decide(g, 0, 1, 3, 0);
+  EXPECT_EQ(solver.trees_built(), 1u);
+  EXPECT_EQ(solver.tree_reuse_hits(), 0u);
+  solver.begin_batch(g, 0, targets, 3);
+  (void)solver.decide_batched(0, 0);
+  EXPECT_EQ(solver.tree_reuse_hits(), 0u);
+  (void)solver.decide_batched(2, 0);
+  EXPECT_EQ(solver.trees_built(), 2u);
+  EXPECT_EQ(solver.batched_sweeps(), 2u);
+  EXPECT_EQ(solver.tree_reuse_hits(), 1u);
 }
 
 TEST(LbcBatch, DirectDecideEndsTheBatch) {
@@ -219,7 +253,7 @@ TEST(LbcBatch, DirectDecideEndsTheBatch) {
   const std::vector<VertexId> targets = {1, 2, 3};
   solver.begin_batch(g, 0, targets, 3);
   (void)solver.decide(g, 0, 1, 3, 1);
-  EXPECT_THROW((void)solver.decide_batched(1, 1), std::invalid_argument);
+  EXPECT_THROW((void)solver.decide_batched(1, 0), std::invalid_argument);
 }
 
 TEST(LbcBatch, GraphMutationIsCaught) {
@@ -230,15 +264,15 @@ TEST(LbcBatch, GraphMutationIsCaught) {
   LbcSolver solver(FaultModel::vertex);
   const std::vector<VertexId> targets = {1, 2};
   solver.begin_batch(g, 0, targets, 3);
-  (void)solver.decide_batched(0, 1);
+  (void)solver.decide_batched(0, 0);
   g.add_edge(2, 3);
-  EXPECT_THROW((void)solver.decide_batched(1, 1), std::invalid_argument);
+  EXPECT_THROW((void)solver.decide_batched(1, 0), std::invalid_argument);
 }
 
 // ------------------------------------------------ batched greedy equivalence
 
-/// The batched greedy scan against the per-edge reference greedy; `seed`
-/// names the generator seed of g in every failure.
+/// The greedy scan against the per-edge reference greedy; `seed` names the
+/// generator seed of g in every failure.  Only f = 0 scans batch.
 void expect_greedy_batch_equivalence(const Graph& g,
                                      const SpannerParams& params,
                                      EdgeOrder order, std::uint64_t seed) {
@@ -250,7 +284,11 @@ void expect_greedy_batch_equivalence(const Graph& g,
                           to_string(params.model);
   const auto batched =
       testing::expect_matches_reference(g, params, config, ctx);
-  EXPECT_GT(batched.stats.batched_sweeps, 0u) << ctx;
+  if (params.f == 0) {
+    EXPECT_GT(batched.stats.batched_sweeps, 0u) << ctx;
+  } else {
+    EXPECT_EQ(batched.stats.batched_sweeps, 0u) << ctx;
+  }
 }
 
 TEST(LbcBatch, GreedyPicksMatchUnbatched) {
@@ -307,6 +345,8 @@ TEST(LbcBatch, GreedyPicksMatchUnbatchedRandomOrder) {
   Rng rng(9022);
   const Graph g = gnp(48, 0.2, rng);
   expect_greedy_batch_equivalence(g, SpannerParams{.k = 2, .f = 1},
+                                  EdgeOrder::random, 9022);
+  expect_greedy_batch_equivalence(g, SpannerParams{.k = 2, .f = 0},
                                   EdgeOrder::random, 9022);
 }
 

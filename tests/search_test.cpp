@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -168,6 +169,12 @@ TEST(Bfs, TwoEndedSourceEqualsTarget) {
   EXPECT_EQ(bfs.two_ended_path_arcs(g, 1, 1, out, make_fault_view(&dead, nullptr)),
             kUnreachableHops);
   EXPECT_TRUE(out.empty());
+  // A zero-hop bound: s == t still answers 0, and any other target is out
+  // of reach with out untouched.
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 1, 1, out, {}, 0), 0u);
+  EXPECT_EQ(out, (std::vector<PathStep>{{1, kInvalidEdge}}));
+  EXPECT_EQ(bfs.two_ended_path_arcs(g, 0, 1, out, {}, 0), kUnreachableHops);
+  EXPECT_EQ(out, (std::vector<PathStep>{{1, kInvalidEdge}}));
 }
 
 TEST(Bfs, TwoEndedAdjacentVertices) {
@@ -213,10 +220,14 @@ TEST(Bfs, TwoEndedRespectsEdgeAndVertexMasks) {
 }
 
 TEST(Bfs, TwoEndedMatchesHopDistanceOnRandomGraphs) {
+  // Unbounded and hop-bounded (max_hops 0..5, on both sides of the answer)
+  // searches against the one-ended BFS under the same bound.
   Rng rng(4242);
   BfsRunner two;  // one runner across graphs and masks: stamps must not leak
   BfsRunner one;
+  const std::vector<PathStep> sentinel{{9, 9}};
   std::vector<PathStep> out;
+  int within = 0, past = 0;  // bounded queries answered inside / past the bound
   for (int trial = 0; trial < 60; ++trial) {
     const Graph g = gnp(30 + rng.next_below(30), 0.04 + 0.1 * rng.next_double(), rng);
     Mask verts(g.n());
@@ -228,18 +239,38 @@ TEST(Bfs, TwoEndedMatchesHopDistanceOnRandomGraphs) {
       if ((shape & 2) != 0 && rng.next_bool(0.2)) edges.set(e);
     const FaultView view = make_fault_view((shape & 1) != 0 ? &verts : nullptr,
                                            (shape & 2) != 0 ? &edges : nullptr);
-    for (int q = 0; q < 20; ++q) {
+    for (int q = 0; q < 40; ++q) {
       const auto s = static_cast<VertexId>(rng.next_below(g.n()));
       const auto t = static_cast<VertexId>(rng.next_below(g.n()));
-      const std::uint32_t want = one.hop_distance(g, s, t, view);
-      const std::uint32_t got = two.two_ended_path_arcs(g, s, t, out, view);
-      ASSERT_EQ(got, want) << "trial " << trial << " " << s << "->" << t;
-      if (got == kUnreachableHops) continue;
-      ASSERT_EQ(out.size(), got + 1u);
-      ASSERT_TRUE(valid_path(g, s, t, out, view))
-          << "trial " << trial << " " << s << "->" << t;
+      const std::uint32_t max_hops =
+          q % 2 == 0 ? kUnreachableHops
+                     : static_cast<std::uint32_t>(rng.next_below(6));
+      const std::string ctx = "trial " + std::to_string(trial) + " " +
+                              std::to_string(s) + "->" + std::to_string(t) +
+                              " max_hops " + std::to_string(max_hops);
+      const std::uint32_t want = one.hop_distance(g, s, t, view, max_hops);
+      out = sentinel;
+      const std::uint32_t got = two.two_ended_path_arcs(g, s, t, out, view, max_hops);
+      ASSERT_EQ(got, want) << ctx;
+      if (max_hops == 0 && s != t) {
+        ASSERT_EQ(got, kUnreachableHops) << ctx;
+      }
+      if (got == kUnreachableHops) {
+        ASSERT_EQ(out, sentinel) << ctx;
+        if (max_hops != kUnreachableHops &&
+            one.hop_distance(g, s, t, view) != kUnreachableHops)
+          ++past;
+        continue;
+      }
+      if (max_hops != kUnreachableHops) ++within;
+      ASSERT_LE(got, max_hops) << ctx;
+      ASSERT_EQ(out.size(), got + 1u) << ctx;
+      ASSERT_TRUE(valid_path(g, s, t, out, view)) << ctx;
     }
   }
+  // Neither side of the bound may go unexercised.
+  EXPECT_GT(within, 100);
+  EXPECT_GT(past, 100);
 }
 
 // -------------------------------------------------------------- Dijkstra
