@@ -9,11 +9,10 @@
 // arenas reach their high-water mark).  Graph generation is timed separately
 // (gen_seconds) so the build column is the spanner build alone.
 //
-// --f defaults to 0 for the scale sweep: the alpha == 0 tree-graft path
-// (LbcSolver::extend_batch_after_accept) keeps one shared tree alive across
-// accepts, which is what makes the 2^20 configuration tractable on one
-// thread.  f >= 1 rows remain fully supported at the smaller scales (the
-// nightly sweep runs one).
+// --f defaults to 0 for the scale sweep: every decision is then one t-hop
+// search from both ends, which keeps the 2^20 configuration within a few
+// minutes on one thread.  f >= 1 rows remain fully supported at the smaller
+// scales (the nightly sweep runs one).
 //
 // Writes BENCH_e16_scale.json; `tools/check_perf_floor.py --section e16`
 // gates the CI perf lane on the checked-in seconds + max_peak_rss_mb floors
@@ -95,7 +94,6 @@ struct RunResult {
   std::uint64_t alloc_bytes = 0;
   std::uint64_t oracle_calls = 0;
   std::uint64_t sweeps = 0;
-  std::uint64_t tree_extends = 0;
 };
 
 RunResult run_config(const std::string& family, std::size_t scale,
@@ -129,7 +127,6 @@ RunResult run_config(const std::string& family, std::size_t scale,
   out.spanner_m = build.spanner.m();
   out.oracle_calls = build.stats.oracle_calls;
   out.sweeps = build.stats.search_sweeps;
-  out.tree_extends = build.stats.tree_extends;
   out.arcs_traversed = build.stats.arcs_traversed;
   out.arena_bytes = build.stats.arena_bytes;
   out.peak_rss_mb = bench::peak_rss_mb();
@@ -176,8 +173,7 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
         << ", \"alloc_calls\": " << r.alloc_calls
         << ", \"alloc_bytes\": " << r.alloc_bytes
         << ", \"oracle_calls\": " << r.oracle_calls
-        << ", \"sweeps\": " << r.sweeps
-        << ", \"tree_extends\": " << r.tree_extends << "}"
+        << ", \"sweeps\": " << r.sweeps << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "]\n";
@@ -221,7 +217,7 @@ static int bench_main(const ftspan::Cli& cli) {
 
   Table table({"family", "scale", "n", "m(G)", "f", "k", "m(H)",
                "build-s", "gen-s", "rss-MiB", "arcs", "arena-MiB", "allocs",
-               "sweeps", "grafts"});
+               "sweeps"});
   for (const auto& r : results)
     table.add_row({r.family, Table::num(r.scale), Table::num(r.n),
                    Table::num(r.m), Table::num(static_cast<long long>(r.f)),
@@ -231,8 +227,7 @@ static int bench_main(const ftspan::Cli& cli) {
                    Table::num(static_cast<long long>(r.arcs_traversed)),
                    Table::num(static_cast<double>(r.arena_bytes) / 1048576.0, 1),
                    Table::num(static_cast<long long>(r.alloc_calls)),
-                   Table::num(static_cast<long long>(r.sweeps)),
-                   Table::num(static_cast<long long>(r.tree_extends))});
+                   Table::num(static_cast<long long>(r.sweeps))});
   table.print(std::cout);
 
   if (!write_json(json_path, results)) {

@@ -36,9 +36,6 @@ struct RunResult {
   double gen_seconds = 0.0;  // input-graph construction, reported separately
   std::uint64_t oracle_calls = 0;
   std::uint64_t sweeps = 0;
-  std::uint64_t batched_sweeps = 0;
-  std::uint64_t tree_reuse_hits = 0;
-  std::uint64_t tree_extends = 0;
   std::uint64_t dedicated_masked_sweeps = 0;
   std::uint64_t dedicated_masked_arcs = 0;
   std::uint64_t arcs_traversed = 0;
@@ -72,9 +69,6 @@ RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
       out.spanner_m = build.spanner.m();
       out.oracle_calls = build.stats.oracle_calls;
       out.sweeps = build.stats.search_sweeps;
-      out.batched_sweeps = build.stats.batched_sweeps;
-      out.tree_reuse_hits = build.stats.tree_reuse_hits;
-      out.tree_extends = build.stats.tree_extends;
       out.dedicated_masked_sweeps = build.stats.dedicated_masked_sweeps;
       out.dedicated_masked_arcs = build.stats.dedicated_masked_arcs;
       out.arcs_traversed = build.stats.arcs_traversed;
@@ -99,9 +93,6 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
         << ", \"gen_seconds\": " << r.gen_seconds
         << ", \"oracle_calls\": " << r.oracle_calls
         << ", \"sweeps\": " << r.sweeps
-        << ", \"batched_sweeps\": " << r.batched_sweeps
-        << ", \"tree_reuse_hits\": " << r.tree_reuse_hits
-        << ", \"tree_extends\": " << r.tree_extends
         << ", \"dedicated_masked_sweeps\": " << r.dedicated_masked_sweeps
         << ", \"dedicated_masked_arcs\": " << r.dedicated_masked_arcs
         << ", \"arcs_traversed\": " << r.arcs_traversed
@@ -131,9 +122,9 @@ static int bench_main(const ftspan::Cli& cli) {
   obs.start();
 
   std::vector<RunResult> results;
-  // Modified greedy: poly scaling in n and f.  The f=0 row exercises the
-  // alpha-0 graft fast path (so traced runs carry "graft" events); the last
-  // config is the large one tracked for hot-path speedups across PRs.
+  // Modified greedy: poly scaling in n and f.  The f=0 row is the plain
+  // greedy (one sweep per decision); the last config is the large one
+  // tracked for hot-path speedups across PRs.
   const struct { std::size_t n; std::uint32_t f, k; } modified[] = {
       {128, 1, 2},  {256, 1, 2}, {512, 1, 2},  {512, 0, 2},  {128, 2, 2},
       {128, 4, 2},  {512, 2, 3}, {1024, 2, 2}, {2048, 2, 2},
@@ -149,16 +140,14 @@ static int bench_main(const ftspan::Cli& cli) {
     results.push_back(run_config("exact", c.n, c.f, c.k, reps, seed));
 
   Table table({"algo", "n", "m(G)", "f", "k", "m(H)", "secs", "oracle-calls",
-               "sweeps", "batched", "tree-hits", "grafts", "masked-sweeps",
-               "masked-arcs", "arcs", "arena-B"});
+               "sweeps", "masked-sweeps", "masked-arcs", "arcs", "arena-B"});
   const auto num = [](std::uint64_t v) {
     return Table::num(static_cast<long long>(v));
   };
   for (const auto& r : results)
     table.add_row({r.algo, Table::num(r.n), Table::num(r.m), num(r.f),
                    num(r.k), Table::num(r.spanner_m), Table::num(r.seconds, 4),
-                   num(r.oracle_calls), num(r.sweeps), num(r.batched_sweeps),
-                   num(r.tree_reuse_hits), num(r.tree_extends),
+                   num(r.oracle_calls), num(r.sweeps),
                    num(r.dedicated_masked_sweeps),
                    num(r.dedicated_masked_arcs), num(r.arcs_traversed),
                    num(r.arena_bytes)});

@@ -50,8 +50,7 @@ inline double peak_rss_mb() {
 /// The bench default ring (2^19 events/thread, ~32 MiB) is deliberately much
 /// larger than the library default: a full bench sweep emits hundreds of
 /// thousands of spans per thread, and a wrapped ring keeps only the last
-/// configs — dropping the early-category events (graft runs before the big
-/// f>=1 configs) that make the trace worth recording.
+/// configs — dropping the events of the small configs that run first.
 struct ObsFlags {
   std::string trace_path;
   std::string metrics_path;

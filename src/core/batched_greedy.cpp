@@ -1,9 +1,9 @@
 #include "core/batched_greedy.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/lbc.h"
+#include "core/modified_greedy.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -15,11 +15,7 @@ SpannerBuild batched_greedy_spanner(const Graph& g, const SpannerParams& params,
   FTSPAN_REQUIRE(batch_size >= 1, "batch size must be at least 1");
   const Timer timer;
 
-  std::vector<EdgeId> order(g.m());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w < g.edge(b).w;
-  });
+  const std::vector<EdgeId> order = scan_order(g, EdgeOrder::by_weight);
 
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());

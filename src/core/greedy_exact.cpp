@@ -1,9 +1,9 @@
 #include "core/greedy_exact.h"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "core/fault_search.h"
+#include "core/modified_greedy.h"
 #include "util/timer.h"
 
 namespace ftspan {
@@ -14,11 +14,7 @@ SpannerBuild exact_greedy_spanner(const Graph& g, const SpannerParams& params,
   const Timer timer;
 
   // Nondecreasing weight, ties by id for determinism.
-  std::vector<EdgeId> order(g.m());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w < g.edge(b).w;
-  });
+  const std::vector<EdgeId> order = scan_order(g, EdgeOrder::by_weight);
 
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());

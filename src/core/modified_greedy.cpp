@@ -11,8 +11,6 @@
 
 namespace ftspan {
 
-namespace {
-
 std::vector<EdgeId> scan_order(const Graph& g, EdgeOrder order,
                                std::uint64_t shuffle_seed) {
   std::vector<EdgeId> ids(g.m());
@@ -39,8 +37,6 @@ std::vector<EdgeId> scan_order(const Graph& g, EdgeOrder order,
   return ids;
 }
 
-}  // namespace
-
 SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params,
                                      const ModifiedGreedyConfig& config) {
   params.validate();
@@ -57,17 +53,16 @@ SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params
       config.hop_budget != 0 ? config.hop_budget : params.stretch();
   // Algorithm 2 runs on the *unweighted* view of H — even for weighted G,
   // the weights only determined the scan order (Theorem 10's key idea).
-  lbc_scan(g, order, build.spanner, lbc, t, params.f,
-           [&](LbcResult decision, EdgeId id) {
-             ++build.stats.oracle_calls;
-             if (!decision.yes) return false;
-             const auto& e = g.edge(id);
-             build.spanner.add_edge(e.u, e.v, e.w);
-             build.picked.push_back(id);
-             if (config.record_certificates)
-               build.certificates.push_back(std::move(decision.cut));
-             return true;
-           });
+  for (const auto id : order) {
+    const auto& e = g.edge(id);
+    ++build.stats.oracle_calls;
+    LbcResult decision = lbc.decide(build.spanner, e.u, e.v, t, params.f);
+    if (!decision.yes) continue;
+    build.spanner.add_edge(e.u, e.v, e.w);
+    build.picked.push_back(id);
+    if (config.record_certificates)
+      build.certificates.push_back(std::move(decision.cut));
+  }
   lbc.write_stats(build.stats);
   build.stats.seconds = timer.seconds();
   return build;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/options.h"
 #include "core/result.h"
@@ -40,6 +41,14 @@ struct ModifiedGreedyConfig {
   /// <= floor(alpha + beta) hops" is Algorithm 2 under a different budget.
   std::uint32_t hop_budget = 0;
 };
+
+/// g's edge ids in the scan order `order`: input order, weight order with
+/// ties by id (nondecreasing for by_weight, nonincreasing for
+/// by_weight_desc), or a shuffle seeded by `shuffle_seed` (read by
+/// EdgeOrder::random only).  Every greedy that scans by nondecreasing
+/// weight takes its order from here.
+[[nodiscard]] std::vector<EdgeId> scan_order(const Graph& g, EdgeOrder order,
+                                             std::uint64_t shuffle_seed = 0);
 
 /// Runs the modified greedy (Algorithm 4; Algorithm 3 via config.order).
 [[nodiscard]] SpannerBuild modified_greedy_spanner(

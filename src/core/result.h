@@ -20,12 +20,11 @@ struct SpannerBuildStats {
   std::uint64_t search_sweeps = 0;
   /// Wall-clock construction time.
   double seconds = 0.0;
-  /// Alpha-0 decisions answered through a shared terminal tree (terminal-
-  /// batched LBC); each also counts 1 in search_sweeps.  0 whenever f >= 1,
-  /// where no decision is batched.
-  std::uint64_t batched_sweeps = 0;
-  /// Dedicated BFS runs saved by tree sharing: batched decisions beyond the
-  /// first one each tree session served.  0 whenever f >= 1.
+  /// Always 0.  Counted the searches saved by sharing one terminal BFS tree
+  /// across the alpha-0 decisions out of one vertex, which measured slower
+  /// than one search from both ends per decision on every benchmarked f = 0
+  /// input and was removed.  The field remains because the perfbench
+  /// harness reads it by name.
   std::uint64_t tree_reuse_hits = 0;
   /// Always 0.  Counted masked sweeps served by in-place repair of the
   /// shared terminal tree, which measured slower than the dedicated masked
@@ -33,10 +32,6 @@ struct SpannerBuildStats {
   /// now a dedicated one (dedicated_masked_sweeps).  The field remains
   /// because the perfbench harness reads it by name.
   std::uint64_t masked_reuse_hits = 0;
-  /// Accepts survived in place by grafting the new edge into the shared
-  /// terminal tree (alpha == 0 fast path) — each one is a full tree
-  /// re-expansion eliminated.  0 whenever f >= 1.
-  std::uint64_t tree_extends = 0;
   /// Adjacency arcs scanned across every search the build ran: the measured
   /// work term of the paper's O(f^{1-1/k} n^{1/k} m) runtime — the E16 scale
   /// bench's arcs-traversed column.

@@ -135,9 +135,9 @@ class PairChecker {
     if (unweighted_) {
       d_g_.assign(targets_.size(), 1.0);
       d_h_.resize(targets_.size());
-      bfs_.tree_begin(h_, u, targets_, h_view, t_);
       for (std::size_t i = 0; i < targets_.size(); ++i) {
-        const std::uint32_t hops = bfs_.tree_next(targets_[i]);
+        const std::uint32_t hops =
+            bfs_.two_ended_path_arcs(h_, u, targets_[i], path_, h_view, t_);
         d_h_[i] = hops == kUnreachableHops ? kUnreachableWeight
                                            : static_cast<Weight>(hops);
       }
@@ -171,6 +171,7 @@ class PairChecker {
   std::vector<VertexId> targets_;
   std::vector<Weight> d_g_;
   std::vector<Weight> d_h_;
+  std::vector<PathStep> path_;  ///< the unused path of a two-ended search
 };
 
 /// Enumerates all subsets of {0..universe-1} of size exactly `size` and

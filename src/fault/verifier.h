@@ -6,10 +6,11 @@
 // against t * d_{G\F}(u,v), which is equivalent.
 //
 // A fault set is checked source by source: each G-edge belongs to its stored
-// endpoint e.u, and one search from u answers all of u's surviving edges
-// (see check_fault_set).  The H-side search stops at t * d_{G\F}, so a pair
-// that violates the bound reads as d_{H\F} = infinity, i.e. infinite
-// stretch, whether or not H\F still connects it.
+// endpoint e.u.  On unweighted inputs every surviving edge is one hop-bounded
+// search from both ends; on weighted ones one search from u answers all of
+// u's surviving edges (see check_fault_set).  The H-side search stops at
+// t * d_{G\F}, so a pair that violates the bound reads as d_{H\F} =
+// infinity, i.e. infinite stretch, whether or not H\F still connects it.
 //
 // Exhaustive verification enumerates all C(n, <= f) fault sets (feasible for
 // small instances; it is the ground truth in tests).  Sampled verification
@@ -105,17 +106,17 @@ struct StretchReport {
 
 /// Checks one specific fault set: max stretch over surviving G-edges
 /// (Lemma 3 reduction).  Each surviving edge belongs to its stored endpoint
-/// e.u, and one search per source answers all of that source's edges:
-///  * unweighted g and h: one BFS terminal-tree session in H\F limited to t
-///    hops (a surviving edge of a simple unweighted graph has d_{G\F} = 1,
-///    so G is not searched);
-///  * otherwise: one multi-target Dijkstra in G\F with budget max w over the
-///    source's edges, then one in H\F with budget t * max d_{G\F}, each
-///    stopping once its last target settles.
-/// A fault set thus costs at most one search per source on each searched
-/// side, each confined to the ball its source's pairs need.  A per-pair d_{H\F} beyond t * d_{G\F} is clamped to
-/// kUnreachableWeight and max-stretch ties go to the smallest edge id, so
-/// the report is the one a per-edge check in edge-id order produces.
+/// e.u:
+///  * unweighted g and h: one BFS from both ends in H\F per edge, limited to
+///    t hops (a surviving edge of a simple unweighted graph has
+///    d_{G\F} = 1, so G is not searched);
+///  * otherwise: one multi-target Dijkstra per source in G\F with budget
+///    max w over the source's edges, then one in H\F with budget
+///    t * max d_{G\F}, each stopping once its last target settles.
+/// Every search is confined to the ball its pairs need.  A per-pair d_{H\F}
+/// beyond t * d_{G\F} is clamped to kUnreachableWeight and max-stretch ties
+/// go to the smallest edge id, so the report is the one a per-edge check in
+/// edge-id order produces.
 /// `faults.model` must match sizes of g/h (vertex ids < n, edge ids < m of
 /// g -- edge faults are mapped to h via endpoint lookup).
 [[nodiscard]] StretchReport check_fault_set(const Graph& g, const Graph& h,

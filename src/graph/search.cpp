@@ -28,27 +28,18 @@ void BfsRunner::ensure(std::size_t n) {
   parent_arc_.resize(want);
 }
 
-void BfsRunner::ensure_session_arrays() {
-  if (tmark_.size() < capacity()) {
-    tmark_.resize(capacity(), 0);
-    amark_.resize(capacity(), 0);
-  }
-}
-
 std::size_t BfsRunner::arena_bytes() const noexcept {
   auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return bytes(dist_) + bytes(stamp_) + bytes(parent_) + bytes(parent_arc_) +
-         bytes(queue_) + bytes(iqueue_) + bytes(tmark_) + bytes(amark_);
+         bytes(queue_) + bytes(iqueue_);
 }
 
 void BfsRunner::begin_epoch(std::uint32_t stamps) {
   if (epoch_ > std::numeric_limits<std::uint32_t>::max() - stamps) {
     // would wrap: invalidate all stamps
     for (auto& stamp : stamp_) stamp = 0;
-    for (auto& mark : tmark_) mark = 0;
-    for (auto& mark : amark_) mark = 0;
     epoch_ = 0;
   }
   epoch_ += stamps;
@@ -275,156 +266,6 @@ void BfsRunner::path_arcs_to(VertexId v, std::vector<PathStep>& out) const {
   for (VertexId x = v; x != kInvalidVertex; x = parent_[x])
     out.push_back(PathStep{x, parent_arc_[x]});
   std::reverse(out.begin(), out.end());
-}
-
-// ------------------------------------------------- terminal-tree sessions
-
-void BfsRunner::tree_begin(const Graph& g, VertexId s,
-                           std::span<const VertexId> targets,
-                           const FaultView& faults, std::uint32_t max_hops) {
-  FTSPAN_REQUIRE(s < g.n(), "tree source out of range");
-  ensure(g.n());
-  ensure_session_arrays();
-  begin_epoch();
-  tree_g_ = &g;
-  tree_faults_ = faults;
-  tree_max_hops_ = max_hops;
-  tree_epoch_ = epoch_;
-  tree_head_ = 0;
-  for (const VertexId v : targets) {
-    FTSPAN_REQUIRE(v < g.n(), "tree target out of range");
-    if (faults.vertex_alive(v)) tmark_[v] = epoch_;
-  }
-  if (!faults.vertex_alive(s)) return;  // empty tree: every answer unreachable
-  dist_[s] = 0;
-  stamp_[s] = epoch_;
-  parent_[s] = kInvalidVertex;
-  parent_arc_[s] = kInvalidEdge;
-  queue_.push_back(s);
-}
-
-template <bool kCheckVertices, bool kCheckEdges>
-std::uint32_t BfsRunner::tree_next_impl(VertexId v) {
-  // Locals, not members: the loop's stores could alias the members, so the
-  // compiler would reload them on every arc.
-  const Graph& g = *tree_g_;
-  const FaultView faults = tree_faults_;
-  const std::uint32_t max_hops = tree_max_hops_;
-  const std::uint32_t epoch = epoch_;
-  std::uint32_t* const dist = dist_.data();
-  std::uint32_t* const stamp = stamp_.data();
-  VertexId* const parent = parent_.data();
-  EdgeId* const parc = parent_arc_.data();
-  std::uint32_t* const tmark = tmark_.data();
-  std::uint32_t* const amark = amark_.data();
-
-  while (tree_head_ < queue_.size()) {
-    const VertexId u = queue_[tree_head_];
-    const std::uint32_t du = dist[u];
-    if (tmark[u] == epoch) {  // a pending target settles when popped
-      tmark[u] = 0;
-      amark[u] = epoch;
-    }
-    if (du >= max_hops) {  // deepest level: popped, never scanned
-      ++tree_head_;
-      if (u == v) return du;
-      continue;
-    }
-    if (u == v) return du;  // stop *before* scanning v, like the u == t return
-    ++tree_head_;
-    const bool frontier_next = du + 1 >= max_hops;
-    const auto arcs = g.neighbors(u);
-    arcs_scanned_ += arcs.size();
-    for (const auto& arc : arcs) {
-      if (frontier_next && tmark[arc.to] != epoch) continue;
-      if (stamp[arc.to] == epoch) continue;
-      if constexpr (kCheckEdges) {
-        if (!faults.edge_alive(arc.edge)) continue;
-      }
-      if constexpr (kCheckVertices) {
-        if (!faults.vertex_alive(arc.to)) continue;
-      }
-      dist[arc.to] = du + 1;
-      stamp[arc.to] = epoch;
-      parent[arc.to] = u;
-      parc[arc.to] = arc.edge;
-      queue_.push_back(arc.to);
-    }
-  }
-  return kUnreachableHops;
-}
-
-std::uint32_t BfsRunner::tree_next(VertexId v) {
-  FTSPAN_REQUIRE(tree_g_ != nullptr && tree_epoch_ == epoch_,
-                 "no open terminal-tree session (another search ended it?)");
-  FTSPAN_REQUIRE(v < tree_g_->n(), "tree target out of range");
-  if (!tree_faults_.vertex_alive(v)) return kUnreachableHops;
-  FTSPAN_REQUIRE(tmark_[v] == epoch_ || amark_[v] == epoch_,
-                 "tree_next target was not in the tree_begin target set");
-  if (amark_[v] == epoch_) return dist_[v];
-
-  const bool check_v = !tree_faults_.failed_vertices.empty();
-  const bool check_e = !tree_faults_.failed_edges.empty();
-  if (check_v && check_e) return tree_next_impl<true, true>(v);
-  if (check_v) return tree_next_impl<true, false>(v);
-  if (check_e) return tree_next_impl<false, true>(v);
-  return tree_next_impl<false, false>(v);
-}
-
-std::size_t BfsRunner::tree_insert_source_arc(VertexId v, EdgeId via_edge) {
-  FTSPAN_REQUIRE(tree_g_ != nullptr && tree_epoch_ == epoch_,
-                 "no open terminal-tree session (another search ended it?)");
-  FTSPAN_REQUIRE(tree_head_ == queue_.size(),
-                 "tree_insert_source_arc requires an exhausted session");
-  const Graph& g = *tree_g_;
-  const FaultView& faults = tree_faults_;
-  FTSPAN_REQUIRE(v < g.n(), "tree graft target out of range");
-  if (queue_.empty() || !faults.vertex_alive(v)) return 0;  // dead source/target
-  FTSPAN_REQUIRE(stamp_[v] != epoch_,
-                 "tree graft target was already reached (not an accept?)");
-  const std::uint32_t max_hops = tree_max_hops_;
-  const VertexId s = queue_.front();
-
-  // v enters at depth 1 over the grafted arc.  Improved vertices are
-  // answered/memoized here, never appended to queue_: tree_head_ stays at
-  // the end, so pending targets the improvement wave misses keep falling
-  // through tree_next to the unreachable answer.
-  dist_[v] = 1;
-  stamp_[v] = epoch_;
-  parent_[v] = s;
-  parent_arc_[v] = via_edge;
-  if (tmark_[v] == epoch_ || amark_[v] == epoch_) {
-    tmark_[v] = 0;
-    amark_[v] = epoch_;
-  }
-
-  iqueue_.clear();
-  iqueue_.push_back(v);
-  for (std::size_t head = 0; head < iqueue_.size(); ++head) {
-    const VertexId x = iqueue_[head];
-    const std::uint32_t dx = dist_[x];
-    if (dx >= max_hops) continue;  // deepest level: never scanned
-    const bool frontier_next = dx + 1 >= max_hops;
-    const auto arcs = g.neighbors(x);
-    arcs_scanned_ += arcs.size();
-    for (const auto& arc : arcs) {
-      if (frontier_next && tmark_[arc.to] != epoch_) continue;
-      const std::uint32_t nd = dx + 1;
-      if (stamp_[arc.to] == epoch_ && dist_[arc.to] <= nd) continue;
-      if (!faults.edge_alive(arc.edge)) continue;
-      if (!faults.vertex_alive(arc.to)) continue;
-      dist_[arc.to] = nd;
-      stamp_[arc.to] = epoch_;
-      parent_[arc.to] = x;
-      parent_arc_[arc.to] = arc.edge;
-      if (tmark_[arc.to] == epoch_) {
-        tmark_[arc.to] = 0;
-        amark_[arc.to] = epoch_;
-      }
-      iqueue_.push_back(arc.to);
-    }
-  }
-  return iqueue_.size();
 }
 
 void BfsRunner::all_hops(const Graph& g, VertexId s, std::vector<std::uint32_t>& out,

@@ -107,8 +107,7 @@ class BfsRunner {
   /// the path in shortest_path_arcs' format and returns its hop count, which
   /// equals hop_distance(g, s, t, faults, max_hops)'s; among equally short
   /// paths it may pick another one.  Returns kUnreachableHops (out
-  /// untouched) when t is unreachable within `max_hops`.  Ends any
-  /// terminal-tree session; path_arcs_to does not apply to it.
+  /// untouched) when t is unreachable within `max_hops`.
   std::uint32_t two_ended_path_arcs(const Graph& g, VertexId s, VertexId t,
                                     std::vector<PathStep>& out,
                                     const FaultView& faults = {},
@@ -121,80 +120,14 @@ class BfsRunner {
                 std::uint32_t max_hops = kUnreachableHops);
 
   /// Arcs scanned by search expansions on this runner, cumulative over its
-  /// lifetime: every adjacency-row entry read while expanding a vertex in a
-  /// plain search or a terminal-tree session.  This is the work term of the
-  /// paper's O(f^{1-1/k} n^{1/k} m) bound measured directly — the E16
-  /// bench's arcs-traversed column.
+  /// lifetime: every adjacency-row entry read while expanding a vertex.
+  /// This is the work term of the paper's O(f^{1-1/k} n^{1/k} m) bound
+  /// measured directly — the E16 bench's arcs-traversed column.
   [[nodiscard]] ArcIndex arcs_scanned() const noexcept { return arcs_scanned_; }
 
   /// Bytes currently held by this runner's per-vertex state and queues
   /// (capacities, i.e. what the allocator actually granted).
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
-
-  // --- terminal-tree sessions (terminal-batched LBC, src/core/lbc.h) ---
-  //
-  // A session is a lazily-expanded BFS tree from one source that answers
-  // several target queries against the SAME graph snapshot.  tree_begin
-  // marks the target set and enqueues the source; each tree_next(v) resumes
-  // the expansion only until v is answered, so one query costs exactly what
-  // a dedicated single-target search would, and every further query against
-  // the already-expanded region is free.  Frontier pruning generalizes to
-  // the target set: at depth max_hops only pending targets are stamped.
-  //
-  // Answers are bit-identical to single-target searches: same distances and
-  // same parent arcs (extract with path_arcs_to).
-  //
-  // The session is bound to the runner's current epoch: any other search on
-  // this runner ends it (tree_next then throws).  The graph and fault view
-  // must not change for the lifetime of the session.
-
-  /// Opens a session from `s` over `targets`.  O(|targets|): no expansion
-  /// happens until the first tree_next.  `faults` must outlive the session.
-  void tree_begin(const Graph& g, VertexId s, std::span<const VertexId> targets,
-                  const FaultView& faults = {},
-                  std::uint32_t max_hops = kUnreachableHops);
-
-  /// Answers one target of the open session (v must be in the tree_begin
-  /// target set) with its hop distance from the session source —
-  /// kUnreachableHops when the target is beyond max_hops, unreachable, or
-  /// failed — expanding the tree no further than v's own single-target
-  /// search would have.  Idempotent: repeated calls return the same answer.
-  std::uint32_t tree_next(VertexId v);
-
-  /// Extracts the (vertex, edge-id) path from the source of the most recent
-  /// search (or session) to `v`, which must have been reached by it.  Same
-  /// format as shortest_path_arcs; does not re-run anything.
-  void path_arcs_to(VertexId v, std::vector<PathStep>& out) const;
-
-  /// Grafts a just-appended graph edge (source, v) into the EXHAUSTED tree of
-  /// the open session instead of discarding it: v enters at depth 1 and a
-  /// distance-improvement BFS propagates through the strictly improved
-  /// region, answering any pending targets it reaches.  After the graft the
-  /// session keeps answering tree_next queries with distances that are exact
-  /// for the grown graph.
-  ///
-  /// This is a DISTANCE-ONLY overlay: parent arcs stay valid (consistent
-  /// dist chains, so path_arcs_to never breaks) but are no longer the chains
-  /// a dedicated search would pick.  Callers that consume only the distance
-  /// answers — LBC(t, 0) decisions, which build no cut — get bit-identical
-  /// results at a fraction of a full re-expansion; anything reading paths
-  /// must re-begin the session instead (LbcSolver gates this on alpha == 0).
-  ///
-  /// Requires: an open session whose expansion is exhausted (the accepting
-  /// unreachable answer guarantees this), and v not yet reached by it.
-  /// Returns the graft wave size: vertices whose distance the improvement
-  /// BFS touched (0 when the source or target is failed).
-  std::size_t tree_insert_source_arc(VertexId v, EdgeId via_edge);
-
-  /// Pre-sizes the per-vertex state — including the terminal-tree session
-  /// arrays — for graphs with up to `n` vertices, so the first search or
-  /// session allocates nothing.  The reservation is quantized to
-  /// kStateSlabVertices.  Runners that never open sessions can skip
-  /// reserve(); the session arrays also grow lazily in tree_begin.
-  void reserve(std::size_t n) {
-    ensure(n);
-    ensure_session_arrays();
-  }
 
  private:
   // Per-vertex search state, struct-of-arrays (see the header comment):
@@ -204,10 +137,13 @@ class BfsRunner {
   /// Runs BFS from s; stops early once t is settled.  Returns dist(t).
   std::uint32_t run(const Graph& g, VertexId s, VertexId t,
                     const FaultView& faults, std::uint32_t max_hops);
+  /// Extracts the (vertex, edge-id) path from the source of the last run to
+  /// `v`, which it must have reached.
+  void path_arcs_to(VertexId v, std::vector<PathStep>& out) const;
   // The search loops carry a 64-byte alignment, so where their
   // compare-and-branch pairs fall need not depend on the code linked before
   // them: unaligned, a 16-byte shift of unrelated code split one such pair
-  // across a line and slowed the verifier's tree_next loop by 20%.  The
+  // across a line and slowed the verifier's search loop by 20%.  The
   // attribute only holds for an instantiation the compiler emits out of
   // line.  GCC 12 inlines run_impl<false, false> into run and most
   // two_ended_impl instantiations into two_ended_path_arcs, where their
@@ -218,8 +154,6 @@ class BfsRunner {
                                               VertexId t,
                                               const FaultView& faults,
                                               std::uint32_t max_hops);
-  template <bool kCheckVertices, bool kCheckEdges>
-  [[gnu::aligned(64)]] std::uint32_t tree_next_impl(VertexId v);
   // kBounded is false for the unbounded searches routes run, so their
   // instantiations carry no hop-bound code at all.
   template <bool kCheckVertices, bool kCheckEdges, bool kBounded>
@@ -227,7 +161,6 @@ class BfsRunner {
       const Graph& g, FaultView faults, std::uint32_t max_hops,
       std::vector<PathStep>& out);
   void ensure(std::size_t n);
-  void ensure_session_arrays();
   /// Starts a search with `stamps` fresh stamp values, epoch_ the last.
   void begin_epoch(std::uint32_t stamps = 1);
 
@@ -239,19 +172,9 @@ class BfsRunner {
   std::vector<VertexId> parent_;
   std::vector<EdgeId> parent_arc_;
   std::vector<VertexId> queue_;
-  /// tree_insert_source_arc work queue; the t side of a two-ended search
-  std::vector<VertexId> iqueue_;
+  std::vector<VertexId> iqueue_;  ///< the t side of a two-ended search
   std::uint32_t epoch_ = 0;
   ArcIndex arcs_scanned_ = 0;
-
-  // Terminal-tree session state (valid while tree_epoch_ == epoch_).
-  const Graph* tree_g_ = nullptr;
-  FaultView tree_faults_;
-  std::uint32_t tree_max_hops_ = 0;
-  std::uint32_t tree_epoch_ = 0;
-  std::size_t tree_head_ = 0;            ///< next queue position to pop
-  std::vector<std::uint32_t> tmark_;     ///< epoch-stamped: pending target
-  std::vector<std::uint32_t> amark_;     ///< epoch-stamped: answered target
 };
 
 /// Dijkstra: weighted distances (also correct on unweighted graphs).

@@ -1,9 +1,8 @@
 #include "spanner/add93_greedy.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
+#include "core/modified_greedy.h"
 #include "graph/search.h"
 #include "util/check.h"
 
@@ -12,11 +11,7 @@ namespace ftspan {
 Graph add93_greedy_spanner(const Graph& g, std::uint32_t k,
                            std::vector<EdgeId>* picked) {
   FTSPAN_REQUIRE(k >= 1, "spanner requires k >= 1");
-  std::vector<EdgeId> order(g.m());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w < g.edge(b).w;
-  });
+  const std::vector<EdgeId> order = scan_order(g, EdgeOrder::by_weight);
 
   if (picked != nullptr) picked->clear();
   Graph h(g.n(), g.weighted());

@@ -1,8 +1,6 @@
 #include "spanner/alpha_beta.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "core/lbc.h"
 #include "util/check.h"
@@ -21,8 +19,7 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
   if (!g.weighted()) {
     // Unit weights collapse every per-edge budget to the same hop count
     // floor(alpha * 1 + beta), which is Algorithm 2 under a different t:
-    // delegate to the modified-greedy engine (terminal batching included)
-    // via the hop override.
+    // delegate to the modified-greedy engine via the hop override.
     ModifiedGreedyConfig engine = config.engine;
     engine.hop_budget =
         static_cast<std::uint32_t>(std::floor(config.alpha + config.beta));
@@ -38,11 +35,7 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
                  "the (alpha, beta)-greedy builds on the calling thread "
                  "(config.engine.exec.threads must be 1)");
   const Timer timer;
-  std::vector<EdgeId> order(g.m());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w < g.edge(b).w;
-  });
+  const std::vector<EdgeId> order = scan_order(g, EdgeOrder::by_weight);
 
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());

@@ -17,7 +17,7 @@
 //
 // Determinism contract: unweighted inputs delegate to the modified-greedy
 // engine with hop budget floor(alpha + beta) (ModifiedGreedyConfig::
-// hop_budget), inheriting its terminal-batched scan.  Weighted inputs run a
+// hop_budget), inheriting its per-edge LBC scan.  Weighted inputs run a
 // sequential scan whose oracle is LbcSolver::decide_weighted (budget-pruned
 // Dijkstra sweeps).  Both build on the calling thread
 // (config.engine.exec.threads must be 1).  With alpha + beta = 2k - 1 on an

@@ -1,12 +1,11 @@
 #include "spanner/bdpvw_vft.h"
 
-#include <algorithm>
-#include <numeric>
 #include <optional>
 #include <utility>
 
 #include "core/fault_search.h"
 #include "core/lbc.h"
+#include "core/modified_greedy.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -22,11 +21,7 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
 
   // Nondecreasing weight, ties by id — the exact_greedy_spanner order, so
   // the differential pin (identical picks) is exact.
-  std::vector<EdgeId> order(g.m());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w < g.edge(b).w;
-  });
+  const std::vector<EdgeId> order = scan_order(g, EdgeOrder::by_weight);
 
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());
@@ -56,28 +51,20 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
     return exact_witness(id);
   };
 
-  const auto commit = [&](std::optional<FaultSet> witness, EdgeId id) {
-    ++build.stats.oracle_calls;
-    if (!witness.has_value()) return false;
+  for (const auto id : order) {
     const auto& e = g.edge(id);
+    // Filtered, the modified greedy's LBC decision comes first, and resolve
+    // settles what its answer leaves open.
+    std::optional<FaultSet> witness =
+        filtered
+            ? resolve(lbc.decide(build.spanner, e.u, e.v, t, params.f), id)
+            : exact_witness(id);
+    ++build.stats.oracle_calls;
+    if (!witness.has_value()) continue;
     build.spanner.add_edge(e.u, e.v, e.w);
     build.picked.push_back(id);
     if (config.record_certificates)
       build.certificates.push_back(std::move(*witness));
-    return true;
-  };
-
-  if (!filtered) {
-    for (const auto id : order) commit(exact_witness(id), id);
-  } else {
-    // The modified greedy's terminal-batched scan with the hybrid
-    // resolution spliced in where the LBC answer used to be final.  f == 0
-    // decisions never reach the search (an empty YES-cut is the witness), so
-    // the scan's alpha-0 graft path stays exact.
-    lbc_scan(g, order, build.spanner, lbc, t, params.f,
-             [&](LbcResult pre, EdgeId id) {
-               return commit(resolve(std::move(pre), id), id);
-             });
   }
 
   lbc.write_stats(build.stats);

@@ -29,10 +29,11 @@
 // scan, exactly like exact_greedy_spanner.
 //
 // Determinism contract: sequential scan, nondecreasing weight with ties by
-// edge id; the LBC prefilter runs the modified greedy's scan (lbc_scan in
-// core/lbc.h), and the filter changes who answers a decision, never the
-// answer.  Which paths its sweeps find can change the size of a YES cut, and
-// so how many decisions reach the exact search, but not the picks.
+// edge id; the LBC prefilter runs the modified greedy's decision
+// (LbcSolver::decide in core/lbc.h) on every edge, and the filter changes
+// who answers a decision, never the answer.  Which paths its sweeps find
+// can change the size of a YES cut, and so how many decisions reach the
+// exact search, but not the picks.
 
 #pragma once
 

@@ -1,10 +1,10 @@
-// Differential fuzz harness: the modified greedy (terminal-batched scan,
-// alpha-0 graft) must produce bit-identical picks, certificates, oracle-call
-// and sweep counts to the test-side per-edge reference greedy
-// (testing::reference_greedy) on seeded random inputs across both fault
-// models and f in {0, 1, 2, ...}; tracing and the verifier's thread count
-// must never perturb a result.  Every assertion names the failing seed so a
-// red run is reproducible from the log alone.
+// Differential fuzz harness: the modified greedy must produce bit-identical
+// picks, certificates, oracle-call and sweep counts to the test-side
+// per-edge reference greedy (testing::reference_greedy, which orders the
+// scan with its own copy of the sort) on seeded random inputs across both
+// fault models, every scan order and f in {0, 1, 2, ...}; tracing and the
+// verifier's thread count must never perturb a result.  Every assertion
+// names the failing seed so a red run is reproducible from the log alone.
 
 #include <gtest/gtest.h>
 
@@ -68,7 +68,7 @@ TEST(Differential, EnginesAgreeOnWeightedGraphs) {
 
 TEST(Differential, EnginesAgreeOnSparseDisconnectedGraphs) {
   // Very sparse G(n, p) is routinely disconnected, so unreachable targets
-  // and empty terminal trees get real coverage.
+  // and searches whose two sides never meet get real coverage.
   for (std::uint64_t seed = 31; seed <= 34; ++seed) {
     Rng rng(0xd15cu * seed);
     const Graph g = gnp(40, 0.04, rng);
@@ -77,6 +77,49 @@ TEST(Differential, EnginesAgreeOnSparseDisconnectedGraphs) {
         expect_engines_agree(g, SpannerParams{.k = 2, .f = f, .model = model},
                              EdgeOrder::input, seed);
   }
+}
+
+TEST(Differential, EnginesAgreeOnDenseGraphs) {
+  Rng rng(9020);
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+    const Graph g = gnp(56, 0.18, rng);
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      expect_engines_agree(g, SpannerParams{.k = 2, .f = f, .model = model},
+                           EdgeOrder::input, 9020);
+  }
+}
+
+TEST(Differential, EnginesAgreeOnWeightedGraphsK3) {
+  Rng rng(9021);
+  const Graph g0 = random_geometric(40, 0.3, rng);
+  const Graph g = with_uniform_weights(g0, 0.5, 2.0, rng);
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
+    for (const std::uint32_t f : {0u, 1u, 2u})
+      expect_engines_agree(g, SpannerParams{.k = 3, .f = f, .model = model},
+                           EdgeOrder::by_weight, 9021);
+}
+
+TEST(Differential, EnginesAgreeOnHubGraphsFaultFree) {
+  // f = 0 on a hub-heavy R-MAT instance: long runs of scan edges share a
+  // source, and most of them are answered by a path through a hub.
+  Rng rng(9023);
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+    const Graph g = gnp(64, 0.15, rng);
+    expect_engines_agree(g, SpannerParams{.k = 2, .f = 0, .model = model},
+                         EdgeOrder::input, 9023);
+  }
+  const Graph hubs = rmat(8, 8, rng);
+  for (const std::uint32_t k : {2u, 3u})
+    expect_engines_agree(hubs, SpannerParams{.k = k, .f = 0},
+                         EdgeOrder::input, 9023);
+}
+
+TEST(Differential, EnginesAgreeInRandomOrder) {
+  Rng rng(9022);
+  const Graph g = gnp(48, 0.2, rng);
+  for (const std::uint32_t f : {1u, 0u})
+    expect_engines_agree(g, SpannerParams{.k = 2, .f = f}, EdgeOrder::random,
+                         9022);
 }
 
 // ------------------------------------------------- tracing bit-identity

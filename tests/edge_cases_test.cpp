@@ -1,13 +1,12 @@
 // Degenerate-input sweep: f = 0, k = 1, disconnected graphs, and
 // single-vertex / empty graphs through the modified greedy (against the
-// per-edge reference greedy), the verifier, and the batched LBC path.
+// per-edge reference greedy), the verifier, and LBC decisions.
 // Several of these previously passed only by accident — this file makes the
 // contracts explicit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "core/lbc.h"
@@ -62,7 +61,8 @@ TEST(EdgeCases, StretchOneKeepsAllNonRedundantEdges) {
 
 TEST(EdgeCases, DisconnectedInput) {
   // Two components plus isolated vertices: cross-component decisions are
-  // YES at sweep 0 (unreachable), exercising empty-tree sessions.
+  // YES at sweep 0 (unreachable), exercising searches whose two sides never
+  // meet.
   Graph g(11);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
@@ -131,12 +131,11 @@ LbcResult one_ended_lbc(const Graph& g, FaultModel model, VertexId u,
   return result;
 }
 
-TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
+TEST(EdgeCases, LbcOnDegenerateInputs) {
   // Decisions on a disconnected graph: unreachable targets, one-hop targets
-  // (empty cut growth), and f = 0 single sweeps.  Batched alpha-0 decisions
-  // must match decide(); at alpha >= 1, where batches refuse, decide's
-  // two-ended sweeps must match the one-ended textbook loop (every path
-  // here is the only shortest one under its cut).
+  // (empty cut growth), and f = 0 single sweeps.  decide's two-ended sweeps
+  // must match the one-ended textbook loop at every alpha (every path here
+  // is the only shortest one under its cut).
   Graph g(7);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
@@ -145,24 +144,16 @@ TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
   const std::vector<VertexId> targets = {1, 2, 3, 4, 5, 6};
   for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
     for (const std::uint32_t alpha : {0u, 1u, 3u}) {
-      LbcSolver batched(model);
-      LbcSolver reference(model);
-      batched.begin_batch(g, 0, targets, 3);
-      if (alpha != 0) {
-        EXPECT_THROW((void)batched.decide_batched(0, alpha),
-                     std::invalid_argument);
-      }
-      for (std::size_t j = 0; j < targets.size(); ++j) {
-        const LbcResult result =
-            alpha == 0 ? batched.decide_batched(j, alpha)
-                       : one_ended_lbc(g, model, 0, targets[j], 3, alpha);
-        const LbcResult ref = reference.decide(g, 0, targets[j], 3, alpha);
+      LbcSolver solver(model);
+      for (const VertexId target : targets) {
+        const LbcResult result = solver.decide(g, 0, target, 3, alpha);
+        const LbcResult ref = one_ended_lbc(g, model, 0, target, 3, alpha);
         EXPECT_EQ(result.yes, ref.yes)
-            << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
+            << to_string(model) << " alpha=" << alpha << " target=" << target;
         EXPECT_EQ(result.sweeps, ref.sweeps)
-            << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
+            << to_string(model) << " alpha=" << alpha << " target=" << target;
         EXPECT_EQ(result.cut.ids, ref.cut.ids)
-            << to_string(model) << " alpha=" << alpha << " target=" << targets[j];
+            << to_string(model) << " alpha=" << alpha << " target=" << target;
       }
     }
   }

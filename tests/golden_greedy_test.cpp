@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/modified_greedy.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -40,9 +42,20 @@ static const std::vector<EdgeId> kGoldenVertexK3F2 = {0, 1, 2, 3, 4, 5, 6, 7, 8,
 // kGoldenEdgeK3F2: n=48 m=294 k=3 f=2 model=edge -> 130 picked
 static const std::vector<EdgeId> kGoldenEdgeK3F2 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 68, 69, 71, 72, 73, 75, 76, 77, 78, 79, 80, 81, 83, 84, 85, 86, 87, 88, 89, 90, 92, 93, 96, 100, 101, 104, 105, 106, 108, 109, 110, 112, 114, 115, 117, 120, 121, 123, 129, 130, 133, 135, 136, 140, 144, 145, 147, 151, 164, 166, 167, 171, 172, 179, 183, 184, 185, 189, 190, 191, 195, 196, 197, 214};
 
+// The f = 0 arrays were recorded on a hub-heavy R-MAT instance while the
+// alpha-0 decisions of one source still shared a terminal BFS tree.  At
+// f = 0 a decision is only "is d_H(u, v) <= t?", so any correct search
+// reproduces them, and the fault model cannot change a pick: both models
+// are checked against the one array.
+
+// kGoldenRmatK2F0: rmat(7, 4) n=128 m=341 k=2 f=0 -> 105 picked
+static const std::vector<EdgeId> kGoldenRmatK2F0 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 62, 69, 77, 80, 82, 83, 88, 92, 101, 102, 106, 107, 110, 122, 127, 133, 136, 145, 156, 167, 181, 184, 186, 191, 199, 200, 218, 219, 224, 228, 232, 251, 257, 270, 272, 273, 279, 295, 296, 298, 307, 308, 312, 318, 331, 332, 335, 336};
+
+// kGoldenRmatK3F0: rmat(7, 4) n=128 m=341 k=3 f=0 -> 96 picked
+static const std::vector<EdgeId> kGoldenRmatK3F0 = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 62, 69, 77, 80, 82, 83, 88, 92, 101, 102, 106, 107, 110, 122, 127, 133, 136, 145, 156, 167, 181, 184, 186, 191, 199, 219, 224, 228, 232, 251, 270, 272, 273, 295, 298, 307, 308, 332, 335};
+
 // Checks the recorded picks, then pins oracle calls and sweep counts to the
-// per-edge reference greedy (tests/test_util.h): the shared terminal trees
-// of the batched scan must reproduce the per-edge scan bit-exactly.
+// per-edge reference greedy (tests/test_util.h).
 void expect_golden(const Graph& g, const SpannerParams& params,
                    const std::vector<EdgeId>& golden) {
   const auto build = modified_greedy_spanner(g, params);
@@ -91,6 +104,33 @@ TEST(GoldenGreedy, EdgeModelK3F2) {
   expect_golden(g, params, kGoldenEdgeK3F2);
   testing::expect_ft_spanner_exhaustive(
       g, modified_greedy_spanner(g, params).spanner, params, "edge k=3 f=2");
+}
+
+/// f = 0 goldens: the vertex model's picks, the edge model's equal to them,
+/// and each spanner checked by verify_exhaustive (one fault set at f = 0).
+void expect_fault_free_golden(const Graph& g, std::uint32_t k,
+                              const std::vector<EdgeId>& golden) {
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+    const SpannerParams params{.k = k, .f = 0, .model = model};
+    expect_golden(g, params, golden);
+    testing::expect_ft_spanner_exhaustive(
+        g, modified_greedy_spanner(g, params).spanner, params,
+        "rmat k=" + std::to_string(k) + " f=0 " + to_string(model));
+  }
+}
+
+TEST(GoldenGreedy, FaultFreeRmatK2) {
+  Rng rng(7004);
+  const Graph g = rmat(7, 4, rng);
+  ASSERT_EQ(g.m(), 341u);
+  expect_fault_free_golden(g, 2, kGoldenRmatK2F0);
+}
+
+TEST(GoldenGreedy, FaultFreeRmatK3) {
+  Rng rng(7004);
+  const Graph g = rmat(7, 4, rng);
+  ASSERT_EQ(g.m(), 341u);
+  expect_fault_free_golden(g, 3, kGoldenRmatK3F0);
 }
 
 TEST(GoldenGreedy, EdgeModelWeightedK2F1) {

@@ -104,31 +104,6 @@ TEST(SlabArena, HighWaterMarkNeverShrinks) {
   EXPECT_EQ(bfs.arena_bytes(), peak);
 }
 
-TEST(SlabArena, ReserveMakesSessionsAllocationStable) {
-  // After reserve(n), repeated terminal-tree sessions must not move the
-  // footprint: every per-vertex array (search and session) is at its
-  // high-water mark already.
-  Rng rng(13);
-  const Graph g = gnp(3000, 0.005, rng);
-  BfsRunner bfs;
-  bfs.reserve(g.n());
-  const std::size_t reserved = bfs.arena_bytes();
-  std::vector<VertexId> targets;
-  for (VertexId v = 1; v < 200; ++v) targets.push_back(v);
-  for (int round = 0; round < 5; ++round) {
-    bfs.tree_begin(g, 0, targets, {}, 3);
-    for (const VertexId v : targets) (void)bfs.tree_next(v);
-  }
-  // The BFS queue is the one buffer that legitimately grows with the
-  // reached set; everything per-vertex is slab-pinned.
-  EXPECT_LE(bfs.arena_bytes(),
-            reserved + slab_round_up(g.n()) * sizeof(VertexId));
-  const std::size_t settled = bfs.arena_bytes();
-  bfs.tree_begin(g, 0, targets, {}, 3);
-  for (const VertexId v : targets) (void)bfs.tree_next(v);
-  EXPECT_EQ(bfs.arena_bytes(), settled);
-}
-
 TEST(SlabArena, DijkstraHeapReuses) {
   Rng rng(17);
   const Graph base = gnp(800, 0.02, rng);

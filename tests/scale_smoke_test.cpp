@@ -48,15 +48,14 @@ TEST(ScaleSmoke, RmatBeyondMillionVertices) {
 
 TEST(ScaleSmoke, FaultFreeGreedyCompletesAtScale17) {
   // The per-push E16 configuration in miniature: kronecker scale 15,
-  // edgefactor 8, f = 0 — exercises the graft-accept fast path end to end
-  // and pins the size bound loosely enough to survive seed drift.
+  // edgefactor 8, f = 0 — one sweep per decision end to end, with the size
+  // bound pinned loosely enough to survive seed drift.
   Rng rng(2025);
   const Graph g = kronecker(15, 8, rng);
   const auto build = modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 0},
                                              ModifiedGreedyConfig{});
   EXPECT_GT(build.spanner.m(), 0u);
   EXPECT_LT(build.spanner.m(), g.m());
-  EXPECT_GT(build.stats.tree_extends, 0u);
   EXPECT_EQ(build.stats.oracle_calls, g.m());
 }
 

@@ -70,9 +70,10 @@ inline void expect_ft_spanner_sampled(const Graph& g, const Graph& h,
 }
 
 /// Test-side reference for the modified greedy: the same scan order as
-/// modified_greedy_spanner, but one plain LbcSolver::decide per edge — no
-/// terminal batching, no graft.  Fills picked, certificates (when
-/// config.record_certificates), oracle_calls and search_sweeps.
+/// modified_greedy_spanner, computed by this function's own copy of the
+/// sort rather than by scan_order, and one plain LbcSolver::decide per edge.
+/// Fills picked, certificates (when config.record_certificates),
+/// oracle_calls and search_sweeps.
 inline SpannerBuild reference_greedy(const Graph& g, const SpannerParams& params,
                                      const ModifiedGreedyConfig& config = {}) {
   std::vector<EdgeId> order(g.m());

@@ -19,10 +19,9 @@ Usage:
 
 Exits non-zero with a per-failure report.  --min-categories is required:
 how many categories a trace must show depends on the run it records, so
-the caller states it.  A traced build emits the tree, graft and sweep
-categories on the main track; a verification with --threads N > 1 adds
-pool and verify spans on N tracks; a traced ftspand session adds service
-spans.  The CI lanes pass --min-categories and --require-category to match
+the caller states it.  A traced build emits the sweep category on the
+main track; a verification with --threads N > 1 adds pool and verify spans
+on N tracks; a traced ftspand session adds service spans.  The CI lanes pass --min-categories and --require-category to match
 the run they trace.
 """
 

@@ -184,9 +184,6 @@ int cmd_build(const Cli& cli) {
     std::cout << ", " << build.stats.exact_searches
               << " exact fault-set searches ("
               << build.stats.exact_search_nodes << " nodes)";
-  if (build.stats.batched_sweeps > 0)
-    std::cout << ", " << build.stats.tree_reuse_hits
-              << " BFS runs saved by terminal batching";
   std::cout << "\n";
   const Graph h = std::move(build.spanner);
 
